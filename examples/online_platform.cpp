@@ -638,9 +638,5 @@ int main(int argc, char** argv) {
 
   std::printf("\n-- metrics exposition --\n%s",
               obs::to_prometheus(registry.snapshot()).c_str());
-
-  // Persist what the online trainer learned.
-  eng.checkpoint("online_platform.ckpt");
-  std::printf("engine state checkpointed to online_platform.ckpt\n");
   return 0;
 }

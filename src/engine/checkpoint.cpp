@@ -1,7 +1,9 @@
 #include "engine/checkpoint.hpp"
 
-#include <fstream>
 #include <iomanip>
+#include <istream>
+#include <ostream>
+#include <string>
 
 #include "nn/serialize.hpp"
 #include "support/check.hpp"
@@ -21,14 +23,6 @@ void save_checkpoint(std::ostream& os, core::PlatformPredictor& predictor,
     nn::save_mlp(os, predictor.cluster(i).time_model());
     nn::save_mlp(os, predictor.cluster(i).reliability_model());
   }
-}
-
-void save_checkpoint(const std::string& path,
-                     core::PlatformPredictor& predictor,
-                     const EngineCounters& counters) {
-  std::ofstream f(path);
-  MFCP_CHECK(f.good(), "cannot open engine checkpoint for writing: " + path);
-  save_checkpoint(f, predictor, counters);
 }
 
 EngineCounters load_checkpoint(std::istream& is,
@@ -54,13 +48,6 @@ EngineCounters load_checkpoint(std::istream& is,
     nn::load_mlp(is, predictor.cluster(i).reliability_model());
   }
   return counters;
-}
-
-EngineCounters load_checkpoint(const std::string& path,
-                               core::PlatformPredictor& predictor) {
-  std::ifstream f(path);
-  MFCP_CHECK(f.good(), "cannot open engine checkpoint for reading: " + path);
-  return load_checkpoint(f, predictor);
 }
 
 }  // namespace mfcp::engine

@@ -1,8 +1,9 @@
-// Engine checkpoint/restore: predictor weights plus engine counters.
+// Engine checkpoint payload: predictor weights plus engine counters.
 //
 // A long-running platform process must survive restarts without losing
-// what the online trainer learned. The checkpoint is a single plain-text
-// file (locale independent, like nn/serialize):
+// what the online trainer learned. The payload is plain text (locale
+// independent, like nn/serialize); storage::CheckpointManager wraps it in
+// crash-safe snapshot generations under --data-dir:
 //   mfcp-engine-checkpoint 1
 //   <counters: rounds arrivals admitted dropped_capacity expired
 //              dispatched retrains sim_time_hours>
@@ -15,7 +16,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <string>
 
 #include "mfcp/predictor.hpp"
 
@@ -37,15 +37,10 @@ struct EngineCounters {
 
 void save_checkpoint(std::ostream& os, core::PlatformPredictor& predictor,
                      const EngineCounters& counters);
-void save_checkpoint(const std::string& path,
-                     core::PlatformPredictor& predictor,
-                     const EngineCounters& counters);
 
 /// Restores weights into a predictor with identical architecture and
 /// returns the saved counters. Throws on format or shape mismatch.
 EngineCounters load_checkpoint(std::istream& is,
-                               core::PlatformPredictor& predictor);
-EngineCounters load_checkpoint(const std::string& path,
                                core::PlatformPredictor& predictor);
 
 }  // namespace mfcp::engine

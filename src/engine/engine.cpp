@@ -4,7 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <deque>
-#include <limits>
+#include <future>
 #include <numeric>
 #include <sstream>
 #include <unordered_set>
@@ -459,15 +459,70 @@ void OnlineEngine::finalize(RunLog& log, double wall_seconds) {
   }
 }
 
-EngineResult OnlineEngine::run() {
-  MFCP_CHECK(!ran_, "OnlineEngine::run is single-shot per instance");
+EngineResult OnlineEngine::run() { return event_loop(nullptr, ServeConfig{}); }
+
+EngineResult OnlineEngine::serve(GatewayLink& link,
+                                 const ServeConfig& serve_config) {
+  return event_loop(&link, serve_config);
+}
+
+void OnlineEngine::admit(Arrival arrival, RunLog& log) {
+  ++counters_.arrivals;
+  queue_.expire(clock_hours_);
+  if (admission_throttled(arrival)) {
+    // Refused at the door: no queue entry, no trace, no round trigger —
+    // the bucket table carries the count.
+    flight(obs::FlightKind::kAdmission, arrival.id, 0, kShedThrottled);
+    return;
+  }
+  maybe_begin_trace(arrival);
+  // WAL acceptance precedes the push: a capacity refusal then lands as a
+  // rejected record after it, never an orphan terminal.
+  wal_accepted(arrival);
+  const std::uint64_t id = arrival.id;
+  const bool pushed = queue_.push(std::move(arrival));
+  if (pushed) {
+    ++counters_.admitted;
+  }
+  flight(obs::FlightKind::kAdmission, id, pushed ? 1 : 0,
+         pushed ? 0 : kShedCapacity);
+  if (pushed) {
+    flight(obs::FlightKind::kQueueTransition, id, kQueueQueued,
+           queue_.depth());
+  }
+  if (queue_.depth() >= batcher_.config().max_batch) {
+    finish_round(RoundTrigger::kSize, log);
+  }
+}
+
+EngineResult OnlineEngine::event_loop(GatewayLink* link,
+                                      const ServeConfig& serve_config) {
+  MFCP_CHECK(!ran_, "OnlineEngine::run/serve is single-shot per instance");
   ran_ = true;
+  const bool served = link != nullptr;
+  if (served) {
+    MFCP_CHECK(serve_config.hours_per_second > 0.0,
+               "serve needs a positive simulated-clock rate");
+    // Externally submitted tasks lost by the queue become terminal in the
+    // status table through the loss callback installed at construction
+    // (capacity → rejected, deadline → expired).
+    link_ = link;
+    // Retry-After prior until a real round cadence is observed: one
+    // batching window of wall time per round.
+    link->configure_drain(
+        batcher_.config().max_batch,
+        batcher_.config().max_wait_hours / serve_config.hours_per_second);
+    // Retry-After conversions (simulated bucket deficits -> wall seconds)
+    // need the serve clock rate.
+    link->note_sim_rate(serve_config.hours_per_second);
+  }
 
   Stopwatch wall;
   RunLog log;
   obs::HeartbeatHandle pulse;
   if (config_.flight != nullptr) {
-    pulse = config_.flight->register_heartbeat("engine_run");
+    pulse = config_.flight->register_heartbeat(served ? "engine_serve"
+                                                      : "engine_run");
   }
   // The round loop runs every stage on this thread (minus pool-offloaded
   // solves, which the workers tag themselves), so it is the profiler's
@@ -476,226 +531,109 @@ EngineResult OnlineEngine::run() {
   if (profiler != nullptr) {
     profiler->register_current_thread("engine");
   }
-  // A recovered clock resumes ahead of the seeded stream's origin; shift
-  // the stream so "t hours into the stream" means t hours after the
-  // resume point. A fresh process has a zero base, so undisturbed runs
-  // keep their byte-identical journals.
-  const double stream_base = clock_hours_;
-
-  for (;;) {
-    pulse.beat();
-    if (config_.stop_flag != nullptr &&
-        config_.stop_flag->load(std::memory_order_relaxed)) {
-      // Cooperative stop: no further arrivals, drain what is waiting.
-      while (finish_round(RoundTrigger::kFlush, log)) {
-      }
-      break;
-    }
-    std::optional<double> next_arrival = arrivals_.peek_time();
-    if (next_arrival.has_value()) {
-      *next_arrival += stream_base;
-    }
-    std::optional<double> next_timeout;
-    if (!queue_.empty()) {
-      next_timeout = batcher_.timeout_at(queue_.oldest_arrival_time());
-    }
-
-    if (next_arrival.has_value() &&
-        (!next_timeout.has_value() || *next_arrival <= *next_timeout)) {
-      advance_clock(*next_arrival);
-      auto arrival = arrivals_.next();
-      arrival->time_hours += stream_base;
-      arrival->deadline_hours += stream_base;
-      ++counters_.arrivals;
-      queue_.expire(clock_hours_);
-      if (admission_throttled(*arrival)) {
-        // Refused at the door: no queue entry, no trace, no round
-        // trigger — the bucket table carries the count.
-        flight(obs::FlightKind::kAdmission, arrival->id, 0, kShedThrottled);
-      } else {
-        maybe_begin_trace(*arrival);
-        // WAL acceptance precedes the push: a capacity refusal then lands
-        // as a rejected record after it, never an orphan terminal.
-        wal_accepted(*arrival);
-        const std::uint64_t id = arrival->id;
-        const bool pushed = queue_.push(std::move(*arrival));
-        if (pushed) {
-          ++counters_.admitted;
-        }
-        flight(obs::FlightKind::kAdmission, id, pushed ? 1 : 0,
-               pushed ? 0 : kShedCapacity);
-        if (pushed) {
-          flight(obs::FlightKind::kQueueTransition, id, kQueueQueued,
-                 queue_.depth());
-        }
-        if (queue_.depth() >= batcher_.config().max_batch) {
-          finish_round(RoundTrigger::kSize, log);
-        }
-      }
-    } else if (next_timeout.has_value()) {
-      advance_clock(*next_timeout);
-      finish_round(RoundTrigger::kTimeout, log);
-    } else if (!queue_.empty()) {
-      // Stream exhausted with a partial batch waiting: drain immediately
-      // instead of simulating out the timeout.
-      finish_round(RoundTrigger::kFlush, log);
-    } else {
-      break;
-    }
-  }
-
-  pulse.idle();
-  if (profiler != nullptr) {
-    profiler->unregister_current_thread();
-  }
-  finalize(log, wall.seconds());
-  return std::move(log.result);
-}
-
-EngineResult OnlineEngine::serve(GatewayLink& link,
-                                 const ServeConfig& serve_config) {
-  MFCP_CHECK(!ran_, "OnlineEngine::run/serve is single-shot per instance");
-  ran_ = true;
-  MFCP_CHECK(serve_config.hours_per_second > 0.0,
-             "serve needs a positive simulated-clock rate");
-
-  link_ = &link;
-  // Externally submitted tasks lost by the queue become terminal in the
-  // status table through the loss callback installed at construction
-  // (capacity → rejected, deadline → expired).
-  // Retry-After prior until a real round cadence is observed: one
-  // batching window of wall time per round.
-  link.configure_drain(
-      batcher_.config().max_batch,
-      batcher_.config().max_wait_hours / serve_config.hours_per_second);
-  // Retry-After conversions (simulated bucket deficits -> wall seconds)
-  // need the serve clock rate.
-  link.note_sim_rate(serve_config.hours_per_second);
-
-  Stopwatch wall;
-  RunLog log;
-  obs::HeartbeatHandle pulse;
-  if (config_.flight != nullptr) {
-    pulse = config_.flight->register_heartbeat("engine_serve");
-  }
-  obs::SamplingProfiler* profiler = obs::default_profiler();
-  if (profiler != nullptr) {
-    profiler->register_current_thread("engine");
-  }
+  // A recovered clock resumes ahead of the stream's origin: seeded stream
+  // times and the wall-mapped clock both count from here. A fresh process
+  // has a zero base, so undisturbed runs keep their byte-identical
+  // journals.
   const double base_hours = clock_hours_;
-  const auto sim_now = [&] {
+  const auto wall_hours = [&] {
     return base_hours + wall.seconds() * serve_config.hours_per_second;
-  };
-  bool stream_active = serve_config.synthetic_arrivals;
-
-  const auto admit = [&](Arrival arrival) {
-    ++counters_.arrivals;
-    queue_.expire(clock_hours_);
-    if (admission_throttled(arrival)) {
-      // Synthetic stream only; external ids pass (see above).
-      flight(obs::FlightKind::kAdmission, arrival.id, 0, kShedThrottled);
-      return;
-    }
-    maybe_begin_trace(arrival);
-    wal_accepted(arrival);  // synthetic only; see run()
-    const std::uint64_t id = arrival.id;
-    const bool pushed = queue_.push(std::move(arrival));
-    if (pushed) {
-      ++counters_.admitted;
-    }
-    flight(obs::FlightKind::kAdmission, id, pushed ? 1 : 0,
-           pushed ? 0 : kShedCapacity);
-    if (pushed) {
-      flight(obs::FlightKind::kQueueTransition, id, kQueueQueued,
-             queue_.depth());
-    }
-    if (queue_.depth() >= batcher_.config().max_batch) {
-      finish_round(RoundTrigger::kSize, log);
-    }
   };
 
   for (;;) {
     pulse.beat();
     const bool stopping =
-        link.stop_requested() ||
         (config_.stop_flag != nullptr &&
-         config_.stop_flag->load(std::memory_order_relaxed));
-    if (stopping) {
-      link.request_stop();  // idempotent; submit() starts rejecting
-    }
+         config_.stop_flag->load(std::memory_order_relaxed)) ||
+        (served && link->stop_requested());
 
-    // Synthetic arrivals that are due on the simulated clock (a stopping
-    // platform stops its own stream first). Stream times are relative to
-    // the serve start (= the recovered clock), like run()'s stream_base.
-    while (stream_active && !stopping) {
-      const std::optional<double> t = arrivals_.peek_time();
-      if (!t.has_value()) {
-        stream_active = false;
-        break;
+    // "Now", read once per step. The virtual clock jumps to the earliest
+    // pending event (a stopping run takes no further arrivals and flushes
+    // where it stands); the served clock follows the wall.
+    double now = clock_hours_;
+    if (served) {
+      if (stopping) {
+        link->request_stop();  // idempotent; submit() starts rejecting
       }
-      if (*t + base_hours > sim_now()) {
-        break;
+      now = std::max(now, wall_hours());
+    } else if (!stopping) {
+      std::optional<double> next = arrivals_.peek_time();
+      if (next.has_value()) {
+        *next += base_hours;
       }
-      advance_clock(*t + base_hours);
-      Arrival arrival = *arrivals_.next();
-      arrival.time_hours += base_hours;
-      arrival.deadline_hours += base_hours;
-      admit(std::move(arrival));
+      if (!queue_.empty()) {
+        const double timeout =
+            batcher_.timeout_at(queue_.oldest_arrival_time());
+        next = std::min(next.value_or(timeout), timeout);
+      }
+      if (!next.has_value()) {
+        break;  // stream exhausted and queue drained
+      }
+      now = std::max(now, *next);
     }
 
-    // External submissions, stamped at the current simulated time. Even
-    // while stopping, anything accepted before the stop is still served.
-    for (ExternalSubmission& sub : link.drain()) {
-      advance_clock(std::max(sim_now(), clock_hours_));
-      Arrival arrival;
-      arrival.id = sub.id;
-      arrival.time_hours = clock_hours_;
-      arrival.deadline_hours = clock_hours_ + sub.deadline_hours;
-      arrival.task = sub.task;
-      admit(std::move(arrival));
+    // Every arrival due by now, in order. External submissions are stamped
+    // now; even while stopping, anything accepted before the stop is
+    // still served.
+    if (served) {
+      for (ExternalSubmission& sub : link->drain()) {
+        advance_clock(now);
+        Arrival arrival;
+        arrival.id = sub.id;
+        arrival.time_hours = now;
+        arrival.deadline_hours = now + sub.deadline_hours;
+        arrival.task = sub.task;
+        admit(std::move(arrival), log);
+      }
+    } else if (!stopping) {
+      for (std::optional<double> t = arrivals_.peek_time();
+           t.has_value() && *t + base_hours <= now;
+           t = arrivals_.peek_time()) {
+        Arrival arrival = *arrivals_.next();
+        arrival.time_hours += base_hours;
+        arrival.deadline_hours += base_hours;
+        advance_clock(arrival.time_hours);
+        admit(std::move(arrival), log);
+      }
     }
 
-    // Timeout-triggered rounds.
+    // Then the batch timeout, if due by now (an arrival wins a tie).
     if (!queue_.empty()) {
       const double fire_at =
           batcher_.timeout_at(queue_.oldest_arrival_time());
-      if (fire_at <= sim_now()) {
+      if (fire_at <= now) {
         advance_clock(std::max(fire_at, clock_hours_));
         finish_round(RoundTrigger::kTimeout, log);
       }
     }
-    link.note_queue_depth(queue_.depth());
-    link.note_sim_time(clock_hours_);
+    if (served) {
+      link->note_queue_depth(queue_.depth());
+      link->note_sim_time(clock_hours_);
+    }
 
     if (stopping) {
-      advance_clock(std::max(sim_now(), clock_hours_));
+      advance_clock(now);
       while (finish_round(RoundTrigger::kFlush, log)) {
       }
       break;
     }
-
-    // Sleep until the next scheduled simulated event; submissions (and
-    // stop requests via their own poll bound) wake the loop early.
-    double next_hours = std::numeric_limits<double>::infinity();
-    if (!queue_.empty()) {
-      next_hours = batcher_.timeout_at(queue_.oldest_arrival_time());
+    if (!served) {
+      continue;  // the virtual clock never waits
     }
-    if (stream_active) {
-      if (const std::optional<double> t = arrivals_.peek_time()) {
-        next_hours = std::min(next_hours, *t + base_hours);
-      }
-    }
+    // Sleep until the batch timeout comes due; submissions (and stop
+    // requests via the poll bound) wake the loop early.
     int wait_ms = serve_config.poll_ms;
-    if (std::isfinite(next_hours)) {
-      const double ms = (next_hours - sim_now()) /
-                        serve_config.hours_per_second * 1000.0;
+    if (!queue_.empty()) {
+      const double ms =
+          (batcher_.timeout_at(queue_.oldest_arrival_time()) - wall_hours()) /
+          serve_config.hours_per_second * 1000.0;
       wait_ms = static_cast<int>(std::clamp(
           std::ceil(ms), 0.0, static_cast<double>(serve_config.poll_ms)));
     }
     if (wait_ms > 0) {
       // A parked wait is not a stall: the watchdog only times busy beats.
       pulse.idle();
-      link.wait_for_event(std::chrono::milliseconds(wait_ms));
+      link->wait_for_event(std::chrono::milliseconds(wait_ms));
       pulse.beat();
     }
   }
@@ -705,9 +643,11 @@ EngineResult OnlineEngine::serve(GatewayLink& link,
     profiler->unregister_current_thread();
   }
   finalize(log, wall.seconds());
-  link.note_queue_depth(queue_.depth());
-  link.note_sim_time(clock_hours_);
-  link_ = nullptr;
+  if (served) {
+    link->note_queue_depth(queue_.depth());
+    link->note_sim_time(clock_hours_);
+    link_ = nullptr;
+  }
   return std::move(log.result);
 }
 
@@ -788,59 +728,37 @@ RoundRecord OnlineEngine::run_round(RoundTrigger trigger) {
       truth.with_metrics(t_hat, a_hat);
 
   // Deployment solve and the same-operator reference solve (paper Eq. 6)
-  // are independent; with a pool they run concurrently. Attribution keeps
-  // the full deploy traces (problem + relaxed solution + assignment) so
-  // each pipeline stage can be priced separately afterwards.
+  // are independent; with a pool they run concurrently, inline otherwise.
+  // Both keep their full deploy traces (problem + relaxed solution +
+  // assignment) so attribution can price each pipeline stage afterwards.
   Stopwatch solve_watch;
   obs::ScopedSpan match_span(telemetry_.match, "match", config_.trace);
   obs::StageScope match_stage(obs::EngineStage::kMatch);
-  matching::Assignment deployed;
-  matching::Assignment reference;
-  core::DeployTrace deployed_trace;
-  core::DeployTrace reference_trace;
-  if (config_.attribution) {
+  const auto start_solve = [this](const matching::MatchingProblem& problem) {
+    auto solve = [this, &problem] {
+      // Pool workers carry their own TLS stage marker, so the solves they
+      // run for the match stage tag their samples themselves.
+      obs::StageScope stage(obs::EngineStage::kMatch);
+      return core::deploy_matching_traced(problem, config_.eval);
+    };
     if (pool_ != nullptr) {
-      auto deployed_fut = pool_->submit([&] {
-        // Pool workers carry their own TLS stage marker, so the solves
-        // they run for the match stage tag their samples themselves.
-        obs::StageScope stage(obs::EngineStage::kMatch);
-        return core::deploy_matching_traced(predicted, config_.eval);
-      });
-      auto reference_fut = pool_->submit([&] {
-        obs::StageScope stage(obs::EngineStage::kMatch);
-        return core::deploy_matching_traced(truth, config_.eval);
-      });
-      deployed_trace = deployed_fut.get();
-      reference_trace = reference_fut.get();
-    } else {
-      deployed_trace = core::deploy_matching_traced(predicted, config_.eval);
-      reference_trace = core::deploy_matching_traced(truth, config_.eval);
+      return pool_->submit(std::move(solve));
     }
-    deployed = deployed_trace.assignment;
-    reference = reference_trace.assignment;
-  } else if (pool_ != nullptr) {
-    auto deployed_fut = pool_->submit([&] {
-      obs::StageScope stage(obs::EngineStage::kMatch);
-      return core::deploy_matching(predicted, config_.eval);
-    });
-    auto reference_fut = pool_->submit([&] {
-      obs::StageScope stage(obs::EngineStage::kMatch);
-      return core::deploy_matching(truth, config_.eval);
-    });
-    deployed = deployed_fut.get();
-    reference = reference_fut.get();
-  } else {
-    deployed = core::deploy_matching(predicted, config_.eval);
-    reference = core::deploy_matching(truth, config_.eval);
-  }
+    std::promise<core::DeployTrace> done;
+    done.set_value(solve());
+    return done.get_future();
+  };
+  auto deployed_fut = start_solve(predicted);
+  auto reference_fut = start_solve(truth);
+  const core::DeployTrace deployed_trace = deployed_fut.get();
+  const core::DeployTrace reference_trace = reference_fut.get();
+  const matching::Assignment& deployed = deployed_trace.assignment;
+  const matching::Assignment& reference = reference_trace.assignment;
   match_stage.close();
   match_span.stop();
   const double solve_seconds = solve_watch.seconds();
-  if (config_.attribution) {
-    // Only the traced solve exposes its iteration count.
-    flight(obs::FlightKind::kSolverIters, counters_.rounds,
-           deployed_trace.relaxed.iterations, tasks.size());
-  }
+  flight(obs::FlightKind::kSolverIters, counters_.rounds,
+         deployed_trace.relaxed.iterations, tasks.size());
 
   const core::MatchOutcome outcome =
       core::evaluate_assignment(truth, deployed, reference);
@@ -1044,22 +962,6 @@ RoundRecord OnlineEngine::run_round(RoundTrigger trigger) {
   flight(obs::FlightKind::kRoundEnd, rec.round, rec.batch,
          rec.batch - dispatch_ok);
   return rec;
-}
-
-void OnlineEngine::checkpoint(const std::string& path) {
-  refresh_counters();
-  save_checkpoint(path, predictor_, counters_);
-}
-
-void OnlineEngine::restore(const std::string& path) {
-  counters_ = load_checkpoint(path, predictor_);
-  clock_hours_ = counters_.sim_time_hours;
-  restored_base_ = counters_;
-  // rounds is the best available proxy for rounds observed by the
-  // trainer — observe_round runs once per closed round when online
-  // retraining is enabled — so periodic retrain schedules keep their
-  // phase across a restore instead of restarting the count at zero.
-  trainer_.restore_schedule(counters_.rounds, counters_.retrains);
 }
 
 RecoveryReport OnlineEngine::recover(GatewayLink* link) {

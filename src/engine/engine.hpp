@@ -92,11 +92,12 @@ struct EngineConfig {
   /// Scheduled environment drift, sorted or not (the engine sorts).
   std::vector<DriftEventSpec> drift_events;
 
-  /// Optional cooperative-stop flag, polled between events: when it flips
-  /// true, run() stops consuming arrivals, drains the queue with flush
-  /// rounds, and returns. Unset (the default) preserves run-to-exhaustion
-  /// semantics exactly. This is how SIGINT/SIGTERM shut the example down
-  /// gracefully — a signal handler's atomic store is all it takes.
+  /// Optional cooperative-stop flag, polled once per event-loop step: when
+  /// it flips true, run() and serve() stop taking new arrivals, drain the
+  /// queue with flush rounds, and return. Unset (the default) preserves
+  /// run-to-exhaustion semantics exactly. This is how SIGINT/SIGTERM shut
+  /// the example down gracefully — a signal handler's atomic store is all
+  /// it takes.
   const std::atomic<bool>* stop_flag = nullptr;
 
   /// Seeds dispatch/profiling randomness (arrival randomness is seeded by
@@ -242,9 +243,6 @@ struct ServeConfig {
   /// Upper bound on one condition-variable wait, bounding how stale the
   /// stop flag / signal check can get. Submissions wake the loop early.
   int poll_ms = 20;
-  /// Also consume the config's synthetic arrival stream on the same
-  /// simulated clock (external + synthetic traffic interleave).
-  bool synthetic_arrivals = false;
 };
 
 class OnlineEngine {
@@ -257,7 +255,8 @@ class OnlineEngine {
                core::PlatformPredictor& predictor,
                ThreadPool* pool = nullptr);
 
-  /// Consumes the arrival stream to exhaustion and returns the full
+  /// Consumes the seeded arrival stream to exhaustion on a virtual clock
+  /// that jumps to the earliest pending event, and returns the full
   /// per-round trace. Callable once per engine instance.
   EngineResult run();
 
@@ -268,15 +267,10 @@ class OnlineEngine {
   /// link's status table (queued → matched → dispatched / expired /
   /// rejected). Runs until link.request_stop() or the config's stop_flag,
   /// then flushes the queue and returns. Mutually exclusive with run()
-  /// (one shot per engine instance either way). Unlike run(), wall-clock
-  /// scheduling makes serve() runs nondeterministic by construction.
+  /// (one shot per engine instance either way); both drive the same event
+  /// loop. Unlike run(), wall-clock scheduling makes serve() runs
+  /// nondeterministic by construction.
   EngineResult serve(GatewayLink& link, const ServeConfig& serve_config);
-
-  /// Checkpoints the predictor weights plus current engine counters.
-  void checkpoint(const std::string& path);
-
-  /// Restores predictor weights and counters from a checkpoint.
-  void restore(const std::string& path);
 
   /// Crash recovery from EngineConfig::storage, before run()/serve():
   /// restores the newest valid snapshot generation (predictor weights,
@@ -300,14 +294,22 @@ class OnlineEngine {
   }
 
  private:
-  /// Shared per-round bookkeeping for run() and serve(): the rolling
-  /// regret window, tumbling metric windows, and the JSONL journal.
+  /// Per-round bookkeeping of one event loop: the rolling regret window,
+  /// tumbling metric windows, and the JSONL journal.
   struct RunLog {
     EngineResult result;
     core::MetricsAccumulator window;
     std::deque<double> recent_regret;
   };
 
+  /// The discrete-event loop behind run() (link == nullptr: seeded stream,
+  /// virtual clock) and serve() (link's inbox, wall-mapped clock). Each
+  /// step reads "now" once, admits every arrival due by now, then fires
+  /// the batch timeout if it is due by now.
+  EngineResult event_loop(GatewayLink* link, const ServeConfig& serve_config);
+  /// Admits one arrival at the current clock: door throttle, trace, WAL,
+  /// queue push, and the size-triggered round when the batch fills.
+  void admit(Arrival arrival, RunLog& log);
   void advance_clock(double to_hours);
   RoundRecord run_round(RoundTrigger trigger);
   /// Deterministic per-task sampling decision (see trace_sample_rate).
@@ -394,7 +396,7 @@ class OnlineEngine {
   std::uint64_t rk_expired_seen_ = 0;    // ratekeeper's own expiry watermark
   std::uint64_t rk_throttled_seen_ = 0;  // exported-counter watermark
   EngineCounters counters_;
-  /// Counter totals restored by restore()/recover(): the queue restarts
+  /// Counter totals restored by recover(): the queue restarts
   /// at zero, so refresh_counters() adds its stats onto this base.
   EngineCounters restored_base_;
   Telemetry telemetry_;

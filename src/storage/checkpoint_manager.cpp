@@ -78,7 +78,7 @@ CheckpointManager::CheckpointManager(CheckpointConfig config)
        fs::directory_iterator(config_.dir, ec)) {
     std::uint64_t gen = 0;
     if (parse_snapshot_name(entry.path().filename().string(), gen)) {
-      generation_ = std::max(generation_, gen);
+      generation_.store(std::max(generation_.load(), gen));
     }
   }
 }
@@ -86,7 +86,7 @@ CheckpointManager::CheckpointManager(CheckpointConfig config)
 CheckpointInfo CheckpointManager::publish(
     std::uint64_t wal_seq, const std::function<void(std::ostream&)>& write) {
   CheckpointInfo info;
-  info.generation = generation_ + 1;
+  info.generation = generation_.load() + 1;
   info.wal_seq = wal_seq;
   info.snapshot_path =
       (fs::path(config_.dir) / snapshot_name(info.generation)).string();
@@ -118,7 +118,7 @@ CheckpointInfo CheckpointManager::publish(
   fs::rename(manifest_tmp, manifest);
   fsync_path(config_.dir);
 
-  generation_ = info.generation;
+  generation_.store(info.generation);
   ++published_;
   if (checkpoints_counter_ != nullptr) {
     checkpoints_counter_->add(1);

@@ -21,6 +21,7 @@
 // WAL suffix past `wal_seq` — the classic snapshot+log pairing.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -63,11 +64,13 @@ class CheckpointManager {
   [[nodiscard]] std::optional<CheckpointInfo> load_latest(
       const std::function<bool(std::istream&)>& read) const;
 
+  /// Safe to read from any thread while the owner publishes (the
+  /// /debug/storage route polls them from an HTTP worker).
   [[nodiscard]] std::uint64_t published_total() const noexcept {
-    return published_;
+    return published_.load();
   }
   [[nodiscard]] std::uint64_t generation() const noexcept {
-    return generation_;
+    return generation_.load();
   }
   [[nodiscard]] const CheckpointConfig& config() const noexcept {
     return config_;
@@ -81,8 +84,10 @@ class CheckpointManager {
   void prune() const;
 
   CheckpointConfig config_;
-  std::uint64_t generation_ = 0;  // last published (resumes past disk state)
-  std::uint64_t published_ = 0;   // published by this instance
+  // Written only by the publishing thread; atomic so status readers on
+  // other threads see whole values.
+  std::atomic<std::uint64_t> generation_{0};  // last published or on disk
+  std::atomic<std::uint64_t> published_{0};   // published by this instance
   obs::Counter* checkpoints_counter_ = nullptr;
 };
 

@@ -1,16 +1,18 @@
 // Tests for the online platform engine: deterministic arrival replay,
 // queue backpressure and expiry accounting, size-vs-timeout round
-// triggering, drift detection, checkpoint round-trips, and whole-engine
-// determinism under a fixed seed.
+// triggering, drift detection, checkpoint round-trips, the cooperative
+// stop path, and whole-engine determinism under a fixed seed.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <sstream>
+#include <streambuf>
+#include <thread>
 
 #include "engine/engine.hpp"
 #include "engine/service.hpp"
@@ -462,17 +464,14 @@ TEST(Engine, CheckpointRestoreRoundTripsWeightsBitExactly) {
   OnlineEngine eng(cfg, fa.platform, fa.embedder, fa.predictor);
   (void)eng.run();
 
-  const std::string path = ::testing::TempDir() + "engine_ckpt_test.txt";
-  eng.checkpoint(path);
+  // The same stream payload storage::CheckpointManager wraps in snapshot
+  // generations.
+  std::stringstream payload;
+  save_checkpoint(payload, fa.predictor, eng.counters());
 
   // Restore into a predictor with different (freshly initialized) weights.
   EngineFixture fb(456);
-  OnlineEngine eng2(small_engine_config(), fb.platform, fb.embedder,
-                    fb.predictor);
-  eng2.restore(path);
-  std::remove(path.c_str());
-
-  EXPECT_EQ(eng2.counters(), eng.counters());
+  EXPECT_EQ(load_checkpoint(payload, fb.predictor), eng.counters());
   for (std::size_t i = 0; i < 3; ++i) {
     auto pa = fa.predictor.cluster(i).time_model().parameters();
     auto pb = fb.predictor.cluster(i).time_model().parameters();
@@ -1209,6 +1208,114 @@ TEST(Engine, RetrainScheduleSurvivesRestart) {
   const EngineCounters second = eng.run().counters;
   EXPECT_GT(second.retrains, first.retrains);
   EXPECT_EQ(second.retrains, second.rounds / 4);
+}
+
+// ------------------------------------------------------------ stop path --
+
+/// Stream buffer that raises `flag` as soon as one complete line has been
+/// written through it: attached to the round journal, it stops the engine
+/// deterministically right after its first round.
+class RaiseOnFirstLine : public std::streambuf {
+ public:
+  explicit RaiseOnFirstLine(std::atomic<bool>& flag) : flag_(flag) {}
+
+ protected:
+  int_type overflow(int_type c) override {
+    if (c == '\n') {
+      flag_.store(true);
+    }
+    return c;
+  }
+
+ private:
+  std::atomic<bool>& flag_;
+};
+
+TEST(Engine, StopFlagMidStreamDrainsWithFlushRounds) {
+  // Ten acked external tasks left unterminal by a crashed incarnation give
+  // the restarted run more than two batches of work up front, so the
+  // queue still holds tasks when the flag goes up mid-stream.
+  StorageTempDir dir("stop_flag_run");
+  sim::TaskDescriptor task;
+  task.family = sim::TaskFamily::kCnn;
+  {
+    storage::StorageManager storage(storage::StorageConfig{dir.str()});
+    GatewayLinkConfig link_cfg;
+    link_cfg.wal = &storage.wal();
+    GatewayLink link(link_cfg);
+    for (int k = 0; k < 10; ++k) {
+      ASSERT_TRUE(link.submit(task, 100.0).accepted);
+    }
+  }
+  storage::StorageManager storage(storage::StorageConfig{dir.str()});
+  std::atomic<bool> stop{false};
+  RaiseOnFirstLine raise(stop);
+  std::ostream journal_stream(&raise);
+  obs::JsonlWriter journal(journal_stream);
+  EngineFixture f;
+  EngineConfig cfg = small_engine_config();
+  cfg.storage = &storage;
+  cfg.journal = &journal;
+  cfg.stop_flag = &stop;
+  OnlineEngine eng(cfg, f.platform, f.embedder, f.predictor);
+  ASSERT_EQ(eng.recover().replayed, 10u);
+  const EngineResult result = eng.run();
+
+  // The first round raised the flag; every later round is a flush round,
+  // and at least one was needed to empty the queue.
+  ASSERT_GE(result.rounds.size(), 2u);
+  EXPECT_NE(result.rounds.front().trigger, RoundTrigger::kFlush);
+  for (std::size_t k = 1; k < result.rounds.size(); ++k) {
+    EXPECT_EQ(result.rounds[k].trigger, RoundTrigger::kFlush);
+  }
+  EXPECT_EQ(result.rounds.back().queue_depth, 0u);
+  // The seeded stream was cut short, not run to exhaustion.
+  EXPECT_LT(result.counters.arrivals, 10 + cfg.arrivals.max_arrivals);
+  EXPECT_EQ(result.counters.arrivals,
+            result.counters.dispatched + result.counters.dropped_capacity +
+                result.counters.expired);
+}
+
+TEST(Engine, ServeStoppedByStopFlagLeavesEveryAcceptedTaskTerminal) {
+  // The flag, not link.request_stop(), ends serve(): the loop must still
+  // admit what the link accepted, flush it, and close the door itself.
+  EngineFixture f;
+  EngineConfig cfg = small_engine_config();
+  cfg.batcher.max_wait_hours = 10.0;  // only size and flush rounds fire
+  std::atomic<bool> stop{false};
+  cfg.stop_flag = &stop;
+  OnlineEngine eng(cfg, f.platform, f.embedder, f.predictor);
+  GatewayLink link;
+  ServeConfig serve_cfg;
+  serve_cfg.poll_ms = 5;
+  EngineResult result;
+  std::thread engine_thread([&] { result = eng.serve(link, serve_cfg); });
+
+  sim::TaskDescriptor task;
+  task.family = sim::TaskFamily::kCnn;
+  std::vector<std::uint64_t> ids;
+  for (int k = 0; k < 6; ++k) {  // one full batch plus a partial one
+    const SubmitTicket ticket = link.submit(task, 100.0);
+    ASSERT_TRUE(ticket.accepted);
+    ids.push_back(ticket.id);
+  }
+  stop.store(true);
+  engine_thread.join();
+
+  EXPECT_TRUE(link.stop_requested());
+  EXPECT_FALSE(link.submit(task, 100.0).accepted);
+  for (const std::uint64_t id : ids) {
+    const auto status = link.status(id);
+    ASSERT_TRUE(status.has_value());
+    EXPECT_TRUE(status->state == TaskState::kDispatched ||
+                status->state == TaskState::kExpired ||
+                status->state == TaskState::kRejected)
+        << "task " << id << " left in state " << to_string(status->state);
+  }
+  EXPECT_EQ(result.counters.arrivals, ids.size());
+  EXPECT_EQ(result.counters.dispatched + result.counters.dropped_capacity +
+                result.counters.expired,
+            ids.size());
 }
 
 }  // namespace

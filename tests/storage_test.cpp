@@ -6,12 +6,14 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "storage/checkpoint_manager.hpp"
@@ -474,6 +476,47 @@ TEST(StorageManager, RecoveryScanOutstandingAndCompaction) {
   ASSERT_EQ(after.records.size(), 1u);
   EXPECT_EQ(after.records[0].task_id, 101u);
   EXPECT_EQ(after.records[0].seq, 4u);  // sequence continues, not restarts
+}
+
+TEST(StorageManager, StatusReadsCheckpointProgressWhilePublishing) {
+  // /debug/storage calls status() on an HTTP worker while the engine
+  // thread publishes snapshot generations: the reader must only ever see
+  // whole, monotone values.
+  TempDir dir("mgr_status_race");
+  StorageManager storage(StorageConfig{dir.str()});
+  constexpr std::uint64_t kPublishes = 40;
+  std::atomic<bool> done{false};
+  std::uint64_t polls = 0;
+  bool monotone = true;
+  std::thread reader([&] {
+    std::uint64_t last_published = 0;
+    std::uint64_t last_generation = 0;
+    for (;;) {
+      const bool finished = done.load();
+      const StorageStatus s = storage.status();
+      monotone = monotone && s.checkpoints >= last_published &&
+                 s.checkpoint_generation >= last_generation &&
+                 s.checkpoints <= kPublishes &&
+                 s.checkpoint_generation <= kPublishes;
+      last_published = s.checkpoints;
+      last_generation = s.checkpoint_generation;
+      ++polls;
+      if (finished) {
+        break;
+      }
+    }
+  });
+  for (std::uint64_t k = 0; k < kPublishes; ++k) {
+    storage.checkpoints().publish(k, [](std::ostream& os) { os << "x\n"; });
+  }
+  done.store(true);
+  reader.join();
+
+  EXPECT_TRUE(monotone);
+  EXPECT_GT(polls, 1u);
+  const StorageStatus s = storage.status();
+  EXPECT_EQ(s.checkpoints, kPublishes);
+  EXPECT_EQ(s.checkpoint_generation, kPublishes);
 }
 
 }  // namespace
