@@ -9,6 +9,7 @@
 #include "matching/solver_exact.hpp"
 #include "matching/solver_gd.hpp"
 #include "matching/solver_mirror.hpp"
+#include "mfcp/regret.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -54,6 +55,18 @@ void BM_MirrorSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MirrorSolve)->Args({3, 5})->Args({3, 25})->Args({8, 50});
+
+void BM_DeploySolve(benchmark::State& state) {
+  // The operator the engine deploys every round, twice (predictions and
+  // the truth reference): the entropic barrier objective under the
+  // default EvaluationConfig (tau 0.1, beta 8, cap 2000), then rounding.
+  const auto p = make_problem(3, 6);
+  const core::EvaluationConfig cfg;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::deploy_matching_traced(p, cfg));
+  }
+}
+BENCHMARK(BM_DeploySolve);
 
 void BM_AlgorithmOneSolve(benchmark::State& state) {
   // The paper-literal projected-GD solver, for comparison with mirror

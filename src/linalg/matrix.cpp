@@ -52,36 +52,6 @@ bool Matrix::is_vector() const noexcept {
   return rows_ <= 1 || cols_ <= 1;
 }
 
-double& Matrix::operator()(std::size_t r, std::size_t c) {
-  MFCP_DCHECK(r < rows_ && c < cols_, "matrix index out of range");
-  return data_[r * cols_ + c];
-}
-
-double Matrix::operator()(std::size_t r, std::size_t c) const {
-  MFCP_DCHECK(r < rows_ && c < cols_, "matrix index out of range");
-  return data_[r * cols_ + c];
-}
-
-double& Matrix::operator[](std::size_t i) {
-  MFCP_DCHECK(i < data_.size(), "flat index out of range");
-  return data_[i];
-}
-
-double Matrix::operator[](std::size_t i) const {
-  MFCP_DCHECK(i < data_.size(), "flat index out of range");
-  return data_[i];
-}
-
-std::span<double> Matrix::row_span(std::size_t r) {
-  MFCP_DCHECK(r < rows_, "row index out of range");
-  return {data_.data() + r * cols_, cols_};
-}
-
-std::span<const double> Matrix::row_span(std::size_t r) const {
-  MFCP_DCHECK(r < rows_, "row index out of range");
-  return {data_.data() + r * cols_, cols_};
-}
-
 void Matrix::fill(double value) noexcept {
   std::fill(data_.begin(), data_.end(), value);
 }

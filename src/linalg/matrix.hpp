@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "support/check.hpp"
+
 namespace mfcp {
 
 class Matrix {
@@ -43,12 +45,27 @@ class Matrix {
   /// True when this is an n x 1 or 1 x n matrix (or empty).
   [[nodiscard]] bool is_vector() const noexcept;
 
-  double& operator()(std::size_t r, std::size_t c);
-  double operator()(std::size_t r, std::size_t c) const;
+  // The element accessors are defined here, not in matrix.cpp: every
+  // solver and objective inner loop goes through them, and an out-of-line
+  // call per element costs more than the arithmetic it feeds.
+  double& operator()(std::size_t r, std::size_t c) {
+    MFCP_DCHECK(r < rows_ && c < cols_, "matrix index out of range");
+    return data_[r * cols_ + c];
+  }
+  double operator()(std::size_t r, std::size_t c) const {
+    MFCP_DCHECK(r < rows_ && c < cols_, "matrix index out of range");
+    return data_[r * cols_ + c];
+  }
 
   /// Flat element access in row-major order.
-  double& operator[](std::size_t i);
-  double operator[](std::size_t i) const;
+  double& operator[](std::size_t i) {
+    MFCP_DCHECK(i < data_.size(), "flat index out of range");
+    return data_[i];
+  }
+  double operator[](std::size_t i) const {
+    MFCP_DCHECK(i < data_.size(), "flat index out of range");
+    return data_[i];
+  }
 
   [[nodiscard]] double* data() noexcept { return data_.data(); }
   [[nodiscard]] const double* data() const noexcept { return data_.data(); }
@@ -59,8 +76,14 @@ class Matrix {
   }
 
   /// Row r as a span (contiguous in row-major layout).
-  [[nodiscard]] std::span<double> row_span(std::size_t r);
-  [[nodiscard]] std::span<const double> row_span(std::size_t r) const;
+  [[nodiscard]] std::span<double> row_span(std::size_t r) {
+    MFCP_DCHECK(r < rows_, "row index out of range");
+    return {data_.data() + r * cols_, cols_};
+  }
+  [[nodiscard]] std::span<const double> row_span(std::size_t r) const {
+    MFCP_DCHECK(r < rows_, "row index out of range");
+    return {data_.data() + r * cols_, cols_};
+  }
 
   void fill(double value) noexcept;
 

@@ -50,15 +50,14 @@ double BarrierObjective::value(const Matrix& x) const {
   return smoothed_.value(x) + barrier_value(reliability_slack(x));
 }
 
-Matrix BarrierObjective::grad_x(const Matrix& x) const {
-  Matrix g = smoothed_.grad_x(x);
+void BarrierObjective::grad_into(const Matrix& x, Matrix& g) const {
+  smoothed_.grad_into(x, g);
   const double dslack = barrier_derivative(reliability_slack(x));
   const double n = static_cast<double>(num_tasks());
   for (std::size_t i = 0; i < g.size(); ++i) {
     // d slack / d x_ij = a_ij / N.
     g[i] += dslack * reliability_[i] / n;
   }
-  return g;
 }
 
 Matrix BarrierObjective::hess_xx(const Matrix& x) const {

@@ -42,7 +42,7 @@ class BarrierObjective final : public KktDifferentiableObjective {
   }
 
   [[nodiscard]] double value(const Matrix& x) const override;
-  [[nodiscard]] Matrix grad_x(const Matrix& x) const override;
+  void grad_into(const Matrix& x, Matrix& g) const override;
 
   /// Hessian blocks needed by the KKT sensitivity system (Eq. 15). Only
   /// defined for exclusive execution (ζ ≡ 1), where F is convex in X —

@@ -49,10 +49,9 @@ double EntropicObjective::value(const Matrix& x) const {
   return base_->value(x) + entropy_value(x, tau_);
 }
 
-Matrix EntropicObjective::grad_x(const Matrix& x) const {
-  Matrix g = base_->grad_x(x);
+void EntropicObjective::grad_into(const Matrix& x, Matrix& g) const {
+  base_->grad_into(x, g);
   add_entropy_gradient(x, tau_, g);
-  return g;
 }
 
 EntropicKktObjective::EntropicKktObjective(
@@ -66,10 +65,9 @@ double EntropicKktObjective::value(const Matrix& x) const {
   return base_->value(x) + entropy_value(x, tau_);
 }
 
-Matrix EntropicKktObjective::grad_x(const Matrix& x) const {
-  Matrix g = base_->grad_x(x);
+void EntropicKktObjective::grad_into(const Matrix& x, Matrix& g) const {
+  base_->grad_into(x, g);
   add_entropy_gradient(x, tau_, g);
-  return g;
 }
 
 Matrix EntropicKktObjective::hess_xx(const Matrix& x) const {

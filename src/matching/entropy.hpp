@@ -35,7 +35,7 @@ class EntropicObjective final : public ContinuousObjective {
     return base_->num_tasks();
   }
   [[nodiscard]] double value(const Matrix& x) const override;
-  [[nodiscard]] Matrix grad_x(const Matrix& x) const override;
+  void grad_into(const Matrix& x, Matrix& g) const override;
 
   [[nodiscard]] double tau() const noexcept { return tau_; }
 
@@ -59,7 +59,7 @@ class EntropicKktObjective final : public KktDifferentiableObjective {
     return base_->num_tasks();
   }
   [[nodiscard]] double value(const Matrix& x) const override;
-  [[nodiscard]] Matrix grad_x(const Matrix& x) const override;
+  void grad_into(const Matrix& x, Matrix& g) const override;
   [[nodiscard]] Matrix hess_xx(const Matrix& x) const override;
   [[nodiscard]] Matrix hess_xt(const Matrix& x) const override;
   [[nodiscard]] Matrix hess_xa(const Matrix& x) const override;

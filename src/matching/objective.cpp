@@ -6,30 +6,36 @@
 
 namespace mfcp::matching {
 
-namespace {
-
-/// Per-cluster effective busy time ζ(n_i) * x_i^T t_i.
-std::vector<double> busy_times(const Matrix& x, const Matrix& times,
-                               const sim::SpeedupCurve& speedup) {
+void busy_times_into(const Matrix& x, const Matrix& times,
+                     const sim::SpeedupCurve& speedup, std::span<double> busy,
+                     std::span<double> load, std::span<double> count) {
   MFCP_CHECK(x.same_shape(times), "X and T must both be M x N");
-  std::vector<double> busy(x.rows(), 0.0);
+  MFCP_CHECK(busy.size() == x.rows() &&
+                 (load.empty() || load.size() == x.rows()) &&
+                 (count.empty() || count.size() == x.rows()),
+             "busy-time buffers must have one entry per cluster");
   for (std::size_t i = 0; i < x.rows(); ++i) {
-    double load = 0.0;
-    double count = 0.0;
+    double l = 0.0;
+    double c = 0.0;
     for (std::size_t j = 0; j < x.cols(); ++j) {
-      load += x(i, j) * times(i, j);
-      count += x(i, j);
+      l += x(i, j) * times(i, j);
+      c += x(i, j);
     }
-    busy[i] = speedup.value(count) * load;
+    busy[i] = speedup.value(c) * l;
+    if (!load.empty()) {
+      load[i] = l;
+    }
+    if (!count.empty()) {
+      count[i] = c;
+    }
   }
-  return busy;
 }
-
-}  // namespace
 
 double makespan(const Matrix& x, const Matrix& times,
                 const sim::SpeedupCurve& speedup) {
-  const auto busy = busy_times(x, times, speedup);
+  ClusterScratch scratch(x.rows(), 1);
+  const auto busy = scratch.row(0);
+  busy_times_into(x, times, speedup, busy);
   return *std::max_element(busy.begin(), busy.end());
 }
 
@@ -46,7 +52,9 @@ double rounding_gap(const Matrix& x, const Assignment& assignment,
 
 double linear_cost(const Matrix& x, const Matrix& times,
                    const sim::SpeedupCurve& speedup) {
-  const auto busy = busy_times(x, times, speedup);
+  ClusterScratch scratch(x.rows(), 1);
+  const auto busy = scratch.row(0);
+  busy_times_into(x, times, speedup, busy);
   double total = 0.0;
   for (double b : busy) {
     total += b;
@@ -82,9 +90,10 @@ bool is_feasible(const Assignment& assignment,
 
 double utilization(const Assignment& assignment, const Matrix& times,
                    const sim::SpeedupCurve& speedup) {
-  const auto busy =
-      busy_times(assignment_to_matrix(assignment, times.rows()), times,
-                 speedup);
+  ClusterScratch scratch(times.rows(), 1);
+  const auto busy = scratch.row(0);
+  busy_times_into(assignment_to_matrix(assignment, times.rows()), times,
+                  speedup, busy);
   const double peak = *std::max_element(busy.begin(), busy.end());
   if (peak <= 0.0) {
     return 0.0;

@@ -2,9 +2,50 @@
 // final discrete assignments and to define the evaluation metrics.
 #pragma once
 
+#include <memory>
+#include <span>
+
 #include "matching/problem.hpp"
 
 namespace mfcp::matching {
+
+/// The one busy-times kernel. For each cluster i, summing over tasks j in
+/// order: load_i = Σ_j x_ij t_ij, count_i = Σ_j x_ij and
+/// busy_i = ζ(count_i) · load_i. Writes busy_i into `busy` (length M) and,
+/// when the span is non-empty, load_i into `load` and count_i into
+/// `count`. Every makespan-type value and gradient goes through it, so all
+/// of them see bit-identical busy times.
+void busy_times_into(const Matrix& x, const Matrix& times,
+                     const sim::SpeedupCurve& speedup, std::span<double> busy,
+                     std::span<double> load = {},
+                     std::span<double> count = {});
+
+/// Per-cluster scratch for one objective evaluation: `rows` arrays of M
+/// doubles, on the stack while they fit kInline doubles and in one heap
+/// block beyond. Lives for one call only — objectives keep no state
+/// between evaluations.
+class ClusterScratch {
+ public:
+  ClusterScratch(std::size_t clusters, std::size_t rows) : clusters_(clusters) {
+    if (clusters * rows > kInline) {
+      heap_ = std::make_unique<double[]>(clusters * rows);
+      data_ = heap_.get();
+    }
+  }
+  ClusterScratch(const ClusterScratch&) = delete;
+  ClusterScratch& operator=(const ClusterScratch&) = delete;
+
+  [[nodiscard]] std::span<double> row(std::size_t k) noexcept {
+    return {data_ + k * clusters_, clusters_};
+  }
+
+ private:
+  static constexpr std::size_t kInline = 48;
+  std::size_t clusters_;
+  double inline_[kInline] = {};
+  std::unique_ptr<double[]> heap_;
+  double* data_ = inline_;
+};
 
 /// Makespan f(X, T) = max_i ζ(n_i) x_i^T t_i for a (possibly fractional) X.
 double makespan(const Matrix& x, const Matrix& times,

@@ -31,8 +31,8 @@ double HardPenaltyObjective::value(const Matrix& x) const {
   return smoothed_.value(x) + lambda_ * violation;
 }
 
-Matrix HardPenaltyObjective::grad_x(const Matrix& x) const {
-  Matrix g = smoothed_.grad_x(x);
+void HardPenaltyObjective::grad_into(const Matrix& x, Matrix& g) const {
+  smoothed_.grad_into(x, g);
   const double avg = average_reliability(x, reliability_);
   if (avg < gamma_) {
     // Subgradient of the hinge: -lambda * a_ij / N while violated, exactly
@@ -42,7 +42,6 @@ Matrix HardPenaltyObjective::grad_x(const Matrix& x) const {
       g[i] -= lambda_ * reliability_[i] / n;
     }
   }
-  return g;
 }
 
 Matrix HardPenaltyObjective::hess_xx(const Matrix& x) const {
@@ -99,20 +98,18 @@ double LinearCostBarrierObjective::value(const Matrix& x) const {
   return cost - lambda_ * (std::log(eps_) + (s - eps_) / eps_);
 }
 
-Matrix LinearCostBarrierObjective::grad_x(const Matrix& x) const {
-  MFCP_CHECK(x.same_shape(times_), "X shape mismatch");
-  Matrix g(x.rows(), x.cols());
+void LinearCostBarrierObjective::grad_into(const Matrix& x, Matrix& g) const {
+  MFCP_CHECK(g.same_shape(times_), "gradient buffer shape mismatch");
+  ClusterScratch scratch(x.rows(), 3);
+  const auto busy = scratch.row(0);
+  const auto load = scratch.row(1);
+  const auto count = scratch.row(2);
+  busy_times_into(x, times_, speedup_, busy, load, count);
   for (std::size_t i = 0; i < x.rows(); ++i) {
-    double load = 0.0;
-    double count = 0.0;
+    const double zeta = speedup_.value(count[i]);
+    const double dzeta = speedup_.derivative(count[i]);
     for (std::size_t j = 0; j < x.cols(); ++j) {
-      load += x(i, j) * times_(i, j);
-      count += x(i, j);
-    }
-    const double zeta = speedup_.value(count);
-    const double dzeta = speedup_.derivative(count);
-    for (std::size_t j = 0; j < x.cols(); ++j) {
-      g(i, j) = dzeta * load + zeta * times_(i, j);
+      g(i, j) = dzeta * load[i] + zeta * times_(i, j);
     }
   }
   const double s = slack(x);
@@ -121,7 +118,6 @@ Matrix LinearCostBarrierObjective::grad_x(const Matrix& x) const {
   for (std::size_t i = 0; i < g.size(); ++i) {
     g[i] += dbarrier * reliability_[i] / n;
   }
-  return g;
 }
 
 }  // namespace mfcp::matching

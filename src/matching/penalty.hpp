@@ -36,7 +36,7 @@ class HardPenaltyObjective final : public KktDifferentiableObjective {
   }
 
   [[nodiscard]] double value(const Matrix& x) const override;
-  [[nodiscard]] Matrix grad_x(const Matrix& x) const override;
+  void grad_into(const Matrix& x, Matrix& g) const override;
 
   [[nodiscard]] Matrix hess_xx(const Matrix& x) const override;
   [[nodiscard]] Matrix hess_xt(const Matrix& x) const override;
@@ -70,7 +70,7 @@ class LinearCostBarrierObjective final : public ContinuousObjective {
   }
 
   [[nodiscard]] double value(const Matrix& x) const override;
-  [[nodiscard]] Matrix grad_x(const Matrix& x) const override;
+  void grad_into(const Matrix& x, Matrix& g) const override;
 
  private:
   [[nodiscard]] double slack(const Matrix& x) const;

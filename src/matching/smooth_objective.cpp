@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "linalg/vector_ops.hpp"
+#include "matching/objective.hpp"
 #include "support/check.hpp"
 
 namespace mfcp::matching {
@@ -16,22 +17,15 @@ SmoothedMakespan::SmoothedMakespan(Matrix times, double beta,
 }
 
 std::vector<double> SmoothedMakespan::busy_times(const Matrix& x) const {
-  MFCP_CHECK(x.same_shape(times_), "X shape mismatch");
   std::vector<double> busy(x.rows());
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    double load = 0.0;
-    double count = 0.0;
-    for (std::size_t j = 0; j < x.cols(); ++j) {
-      load += x(i, j) * times_(i, j);
-      count += x(i, j);
-    }
-    busy[i] = speedup_.value(count) * load;
-  }
+  busy_times_into(x, times_, speedup_, busy);
   return busy;
 }
 
 double SmoothedMakespan::value(const Matrix& x) const {
-  const auto busy = busy_times(x);
+  ClusterScratch scratch(x.rows(), 1);
+  const auto busy = scratch.row(0);
+  busy_times_into(x, times_, speedup_, busy);
   return log_sum_exp(busy, beta_);
 }
 
@@ -90,25 +84,22 @@ Matrix SmoothedMakespan::hess_xt_exclusive(const Matrix& x) const {
   return h;
 }
 
-Matrix SmoothedMakespan::grad_x(const Matrix& x) const {
-  MFCP_CHECK(x.same_shape(times_), "X shape mismatch");
-  Matrix g(x.rows(), x.cols());
+void SmoothedMakespan::grad_into(const Matrix& x, Matrix& g) const {
+  MFCP_CHECK(g.same_shape(times_), "gradient buffer shape mismatch");
   // p_i = softmax(beta * u), du_i/dx_ij = zeta'(n_i) s_i + zeta(n_i) t_ij.
-  const auto p = cluster_weights(x);
+  ClusterScratch scratch(x.rows(), 3);
+  const auto p = scratch.row(0);
+  const auto load = scratch.row(1);
+  const auto count = scratch.row(2);
+  busy_times_into(x, times_, speedup_, p, load, count);
+  softmax_inplace(p, beta_);
   for (std::size_t i = 0; i < x.rows(); ++i) {
-    double load = 0.0;
-    double count = 0.0;
+    const double zeta = speedup_.value(count[i]);
+    const double dzeta = speedup_.derivative(count[i]);
     for (std::size_t j = 0; j < x.cols(); ++j) {
-      load += x(i, j) * times_(i, j);
-      count += x(i, j);
-    }
-    const double zeta = speedup_.value(count);
-    const double dzeta = speedup_.derivative(count);
-    for (std::size_t j = 0; j < x.cols(); ++j) {
-      g(i, j) = p[i] * (dzeta * load + zeta * times_(i, j));
+      g(i, j) = p[i] * (dzeta * load[i] + zeta * times_(i, j));
     }
   }
-  return g;
 }
 
 }  // namespace mfcp::matching

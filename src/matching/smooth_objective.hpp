@@ -24,8 +24,17 @@ class ContinuousObjective {
 
   [[nodiscard]] virtual double value(const Matrix& x) const = 0;
 
-  /// dF/dX as an M x N matrix.
-  [[nodiscard]] virtual Matrix grad_x(const Matrix& x) const = 0;
+  /// Writes dF/dX into `g`, which must already be M x N; every entry is
+  /// overwritten. The solvers' loops call this with buffers allocated once
+  /// per solve.
+  virtual void grad_into(const Matrix& x, Matrix& g) const = 0;
+
+  /// dF/dX as a fresh M x N matrix.
+  [[nodiscard]] Matrix grad_x(const Matrix& x) const {
+    Matrix g(num_clusters(), num_tasks());
+    grad_into(x, g);
+    return g;
+  }
 };
 
 /// A continuous objective that additionally exposes the Hessian blocks the
@@ -55,7 +64,7 @@ class SmoothedMakespan final : public ContinuousObjective {
   }
 
   [[nodiscard]] double value(const Matrix& x) const override;
-  [[nodiscard]] Matrix grad_x(const Matrix& x) const override;
+  void grad_into(const Matrix& x, Matrix& g) const override;
 
   /// Softmax weights p_i over clusters at x — the "which cluster is
   /// binding" distribution that also appears in every Hessian formula.

@@ -27,6 +27,12 @@ struct SolveResult {
   /// its tolerance (mirror descent: simplex stationarity residual;
   /// projected GD: inf-norm of the last iterate move).
   double residual = 0.0;
+  /// Mirror descent's line-search work: step halvings summed over all
+  /// iterations, and the iterations whose halvings (30 at most) never
+  /// found a descent step but accepted the last trial step anyway. Zero
+  /// for projected GD, which has no line search.
+  std::size_t halvings = 0;
+  std::size_t failed_line_searches = 0;
 };
 
 /// Uniform relaxed start: every entry 1/M (center of the feasible set).

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "support/check.hpp"
@@ -9,9 +12,10 @@
 
 namespace mfcp::matching {
 
-double stationarity_residual(const ContinuousObjective& objective,
-                             const Matrix& x, double floor) {
-  const Matrix g = objective.grad_x(x);
+namespace {
+
+/// Stationarity residual of x given the gradient g already evaluated at x.
+double residual_at(const Matrix& x, const Matrix& g, double floor) {
   double residual = 0.0;
   for (std::size_t j = 0; j < x.cols(); ++j) {
     // At an interior stationary point the gradient is constant over the
@@ -27,6 +31,13 @@ double stationarity_residual(const ContinuousObjective& objective,
     }
   }
   return residual;
+}
+
+}  // namespace
+
+double stationarity_residual(const ContinuousObjective& objective,
+                             const Matrix& x, double floor) {
+  return residual_at(x, objective.grad_x(x), floor);
 }
 
 SolveResult solve_mirror(const ContinuousObjective& objective,
@@ -58,56 +69,84 @@ SolveResult solve_mirror_from(const ContinuousObjective& objective, Matrix x0,
     }
   }
 
-  // Applies one exponentiated-gradient step of size eta in a numerically
-  // safe form (subtract the column-min exponent before exponentiation).
-  const auto step_with = [&config](const Matrix& from, const Matrix& g,
-                                   double eta) {
-    Matrix next = from;
-    for (std::size_t j = 0; j < next.cols(); ++j) {
-      double min_exp = std::numeric_limits<double>::infinity();
-      for (std::size_t i = 0; i < next.rows(); ++i) {
-        min_exp = std::min(min_exp, eta * g(i, j));
-      }
+  // The whole workspace of one solve, allocated here and nowhere in the
+  // loop: the trial iterate, the gradient and its per-column minimum.
+  // Nothing survives the call — every solve starts from the same state.
+  const std::size_t m = x.rows();
+  const std::size_t n = x.cols();
+  Matrix next(m, n);
+  Matrix g(m, n);
+  std::vector<double> g_min(n);
+
+  // Writes into `next` one exponentiated-gradient step of size eta from x
+  // in a numerically safe form (subtract the column-min exponent before
+  // exponentiation). min_i(eta * g_ij) == eta * min_i g_ij bit for bit:
+  // eta > 0 and rounding is monotone, so the minimum is taken once per
+  // gradient, not once per trial step.
+  const auto step = [&](double eta) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const double min_exp = eta * g_min[j];
       double total = 0.0;
-      for (std::size_t i = 0; i < next.rows(); ++i) {
+      for (std::size_t i = 0; i < m; ++i) {
         const double factor = std::exp(-(eta * g(i, j) - min_exp));
-        next(i, j) = std::max(next(i, j) * factor, config.floor);
+        next(i, j) = std::max(x(i, j) * factor, config.floor);
         total += next(i, j);
       }
-      for (std::size_t i = 0; i < next.rows(); ++i) {
+      for (std::size_t i = 0; i < m; ++i) {
         next(i, j) /= total;
       }
     }
-    return next;
   };
 
   SolveResult result;
   double value = objective.value(x);
   double eta = config.learning_rate;
+  // True when g already holds the gradient at the current x (the residual
+  // check evaluated it), so the next iteration need not evaluate it again.
+  bool have_grad = false;
   for (std::size_t it = 0; it < config.max_iterations; ++it) {
-    const Matrix g = objective.grad_x(x);
+    if (!have_grad) {
+      objective.grad_into(x, g);
+    }
+    have_grad = false;
+    for (std::size_t j = 0; j < n; ++j) {
+      double lo = std::numeric_limits<double>::infinity();
+      for (std::size_t i = 0; i < m; ++i) {
+        lo = std::min(lo, g(i, j));
+      }
+      g_min[j] = lo;
+    }
     // Backtracking: sharp beta values make the landscape stiff (curvature
     // ~ beta * t^2), so a fixed step oscillates. Halve until the step is a
     // descent step, and cautiously re-grow afterwards.
-    Matrix next = step_with(x, g, eta);
+    step(eta);
     double next_value = objective.value(next);
     int halvings = 0;
     while (next_value > value - 1e-14 && halvings < 30) {
       eta *= 0.5;
       ++halvings;
-      next = step_with(x, g, eta);
+      step(eta);
       next_value = objective.value(next);
     }
-    x = std::move(next);
+    result.halvings += static_cast<std::size_t>(halvings);
+    if (next_value > value - 1e-14) {
+      // Every halving was spent without finding descent; the last trial
+      // step is accepted anyway.
+      ++result.failed_line_searches;
+    }
+    std::swap(x, next);
     value = next_value;
     if (halvings == 0) {
       eta = std::min(eta * 1.25, config.learning_rate);
     }
     result.iterations = it + 1;
     // Checking the residual every iteration would double the gradient
-    // evaluations; every 8th is enough for a stopping test.
+    // evaluations; every 8th is enough for a stopping test, and the
+    // gradient it needs is the one the next iteration starts from.
     if ((it & 7u) == 7u) {
-      result.residual = stationarity_residual(objective, x, 1e-6);
+      objective.grad_into(x, g);
+      have_grad = true;
+      result.residual = residual_at(x, g, 1e-6);
       if (result.residual < config.tolerance) {
         result.converged = true;
         break;
@@ -115,7 +154,10 @@ SolveResult solve_mirror_from(const ContinuousObjective& objective, Matrix x0,
     }
   }
   if (!result.converged) {
-    result.residual = stationarity_residual(objective, x, 1e-6);
+    if (!have_grad) {
+      objective.grad_into(x, g);
+    }
+    result.residual = residual_at(x, g, 1e-6);
     MFCP_LOG(kDebug) << "mirror descent hit the iteration cap ("
                      << config.max_iterations << "), residual "
                      << result.residual;
@@ -134,6 +176,9 @@ SolveResult solve_mirror_from(const ContinuousObjective& objective, Matrix x0,
     reg->histogram("mfcp_matching_solver_iterations",
                    obs::default_iteration_bounds())
         .observe(static_cast<double>(result.iterations));
+    reg->counter("mfcp_matching_solver_halvings_total").add(result.halvings);
+    reg->counter("mfcp_matching_solver_failed_line_searches_total")
+        .add(result.failed_line_searches);
     reg->gauge("mfcp_matching_solver_residual").set(result.residual);
   }
   return result;

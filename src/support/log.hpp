@@ -1,8 +1,9 @@
 // Minimal leveled logging for long-running experiment harnesses.
 //
 // Deliberately tiny: a process-wide level, timestamped lines to stderr,
-// and zero cost below the active level. Libraries log sparingly (solver
-// non-convergence, B&B budget exhaustion); harnesses log progress.
+// and zero cost below the active level (MFCP_LOG tests the level before
+// it formats anything). Libraries log sparingly (solver non-convergence,
+// B&B budget exhaustion); harnesses log progress.
 //
 // Each line is prefixed with a monotonic timestamp (seconds since the
 // first log call, immune to wall-clock jumps) and a compact per-thread
@@ -34,6 +35,11 @@ void set_log_level(LogLevel level) noexcept;
 LogLevel parse_log_level(const std::string& text,
                          LogLevel fallback = LogLevel::kWarn);
 
+/// True when a line at `level` passes the filter.
+inline bool log_enabled(LogLevel level) noexcept {
+  return static_cast<int>(level) >= static_cast<int>(log_level());
+}
+
 /// Emits one timestamped line to stderr if `level` passes the filter.
 void log_message(LogLevel level, const std::string& message);
 
@@ -55,10 +61,22 @@ class LogLine {
   LogLevel level_;
   std::ostringstream stream_;
 };
+
+/// Gives the streamed LogLine expression type void so that it can stand in
+/// the false arm of MFCP_LOG's conditional. `&` binds looser than `<<`
+/// and tighter than `?:`, so the whole operand chain lands on its right.
+struct LogVoidify {
+  void operator&(const LogLine&) const noexcept {}
+};
 }  // namespace detail
 
 }  // namespace mfcp
 
 /// Streamed logging: MFCP_LOG(kWarn) << "solver hit iteration cap".
-#define MFCP_LOG(level) \
-  ::mfcp::detail::LogLine(::mfcp::LogLevel::level)
+/// The level is tested first: below it no LogLine is built and no operand
+/// is evaluated. One expression, so it is safe in an unbraced if/else.
+#define MFCP_LOG(level)                                     \
+  !::mfcp::log_enabled(::mfcp::LogLevel::level)             \
+      ? static_cast<void>(0)                                \
+      : ::mfcp::detail::LogVoidify() &                      \
+            ::mfcp::detail::LogLine(::mfcp::LogLevel::level)

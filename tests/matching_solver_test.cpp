@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "matching/barrier.hpp"
 #include "matching/objective.hpp"
@@ -11,6 +12,8 @@
 #include "matching/solver_exact.hpp"
 #include "matching/solver_gd.hpp"
 #include "matching/solver_mirror.hpp"
+#include "mfcp/regret.hpp"
+#include "obs/metrics.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -156,6 +159,79 @@ TEST(MirrorSolver, DeterministicAcrossRuns) {
   const auto a = solve_mirror(f);
   const auto b = solve_mirror(f);
   EXPECT_TRUE(approx_equal(a.x, b.x, 0.0));  // bitwise
+}
+
+constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ull;
+
+/// FNV-1a (64-bit) over raw bytes, chained through `hash`.
+std::uint64_t fnv1a(const void* bytes, std::size_t len, std::uint64_t hash) {
+  const auto* p = static_cast<const unsigned char*>(bytes);
+  for (std::size_t i = 0; i < len; ++i) {
+    hash ^= p[i];
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+TEST(MirrorSolver, DeployOutputsBitIdenticalToGolden) {
+  // Bit-identity guard for the deployed operator (entropic barrier
+  // objective, default EvaluationConfig): any change to the solver, the
+  // objectives or the Matrix kernels that alters a single output bit —
+  // iterate, objective, residual, iteration count or rounded assignment —
+  // changes this hash. The constant was recorded before the allocation-free
+  // solver loop landed; update it only for a deliberate decision change.
+  std::vector<std::pair<std::size_t, std::size_t>> shapes;
+  for (std::size_t k = 0; k < 24; ++k) {
+    shapes.emplace_back(3, 1 + k % 6);
+  }
+  shapes.emplace_back(8, 12);
+  const core::EvaluationConfig cfg;
+  std::uint64_t hash = kFnvOffsetBasis;
+  for (std::size_t k = 0; k < shapes.size(); ++k) {
+    const auto p = random_problem(900 + k, shapes[k].first, shapes[k].second);
+    const auto trace = core::deploy_matching_traced(p, cfg);
+    const auto& r = trace.relaxed;
+    hash = fnv1a(r.x.data(), r.x.size() * sizeof(double), hash);
+    hash = fnv1a(&r.objective, sizeof(r.objective), hash);
+    hash = fnv1a(&r.residual, sizeof(r.residual), hash);
+    hash = fnv1a(&r.iterations, sizeof(r.iterations), hash);
+    hash = fnv1a(trace.assignment.data(),
+                 trace.assignment.size() * sizeof(int), hash);
+  }
+  EXPECT_EQ(hash, 0x629c74b4ff87a660ull) << std::hex << "0x" << hash;
+}
+
+TEST(MirrorSolver, WorkCountersAreDeterministicAndPublished) {
+  const core::EvaluationConfig cfg;
+  std::size_t halvings = 0;
+  std::size_t failed = 0;
+  for (std::uint64_t seed = 930; seed < 936; ++seed) {
+    const auto p = random_problem(seed, 3, 6);
+    const auto a = core::deploy_matching_traced(p, cfg).relaxed;
+    const auto b = core::deploy_matching_traced(p, cfg).relaxed;
+    EXPECT_EQ(a.halvings, b.halvings) << "seed " << seed;
+    EXPECT_EQ(a.failed_line_searches, b.failed_line_searches)
+        << "seed " << seed;
+    // A failed line search spends all 30 halvings.
+    EXPECT_GE(a.halvings, 30 * a.failed_line_searches) << "seed " << seed;
+    EXPECT_LE(a.failed_line_searches, a.iterations) << "seed " << seed;
+    halvings += a.halvings;
+    failed += a.failed_line_searches;
+  }
+  EXPECT_GT(halvings, 0u);
+  EXPECT_GT(failed, 0u);
+
+  // The per-solve registry point publishes both counters.
+  obs::MetricsRegistry registry;
+  obs::set_default_registry(&registry);
+  const auto r = core::deploy_matching_traced(random_problem(930, 3, 6), cfg);
+  obs::set_default_registry(nullptr);
+  EXPECT_EQ(registry.counter("mfcp_matching_solver_halvings_total").value(),
+            r.relaxed.halvings);
+  EXPECT_EQ(
+      registry.counter("mfcp_matching_solver_failed_line_searches_total")
+          .value(),
+      r.relaxed.failed_line_searches);
 }
 
 // ----------------------------------------------------------- enumeration --

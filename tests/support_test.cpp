@@ -323,6 +323,26 @@ TEST(Log, EmitsAtOrAboveLevel) {
   set_log_level(saved);
 }
 
+TEST(Log, FilteredLineEvaluatesNoOperand) {
+  const LogLevel saved = log_level();
+  int evaluated = 0;
+  const auto touch = [&evaluated] { return ++evaluated; };
+  set_log_level(LogLevel::kWarn);
+  MFCP_LOG(kDebug) << "dropped " << touch();
+  EXPECT_EQ(evaluated, 0);
+  MFCP_LOG(kError) << "kept " << touch();
+  EXPECT_EQ(evaluated, 1);
+  // One expression: an unbraced if/else keeps its own else.
+  bool else_taken = false;
+  if (evaluated == 0)
+    MFCP_LOG(kError) << "not reached " << touch();
+  else
+    else_taken = true;
+  EXPECT_TRUE(else_taken);
+  EXPECT_EQ(evaluated, 1);
+  set_log_level(saved);
+}
+
 // ------------------------------------------------------------ stopwatch --
 
 TEST(Stopwatch, MeasuresElapsedTime) {
