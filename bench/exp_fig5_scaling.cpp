@@ -5,8 +5,10 @@
 // methods, with MFCP-AD ≈ MFCP-FG lowest throughout; utilization rises
 // with N for every method, ordered MFCP > UCB > TSM > TAM.
 //
-// Run:  ./build/bench/exp_fig5_scaling            (N = 5, 10, 15, 20, 25)
+// Run:  ./build/bench/exp_fig5_scaling            (N = 5, 10, 15, 20)
+//       ./build/bench/exp_fig5_scaling --full     (N = 5, 10, 15, 20, 25)
 //       ./build/bench/exp_fig5_scaling --quick    (N = 5, 10)
+// Any other argument prints usage and exits 2.
 #include <cstdio>
 #include <cstring>
 
@@ -20,8 +22,12 @@ int main(int argc, char** argv) {
   // Default: a compute-matched sweep that a single core regenerates in
   // minutes. --full extends to the paper's N = 25; --quick shrinks to two
   // points for smoke testing.
-  const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
-  const bool full = argc > 1 && std::strcmp(argv[1], "--full") == 0;
+  const bool quick = argc == 2 && std::strcmp(argv[1], "--quick") == 0;
+  const bool full = argc == 2 && std::strcmp(argv[1], "--full") == 0;
+  if (argc > 1 && !quick && !full) {
+    std::fprintf(stderr, "usage: %s [--quick | --full]\n", argv[0]);
+    return 2;
+  }
   std::vector<std::size_t> task_counts = {5, 10, 15, 20};
   if (quick) {
     task_counts = {5, 10};

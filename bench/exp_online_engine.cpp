@@ -192,8 +192,7 @@ double timed_run(const Scenario& scenario,
   obs::TraceStore task_traces(1024);
   obs::SloMonitor slo;
   if (registry != nullptr) {
-    exporter = std::make_unique<obs::HttpExporter>(
-        [registry] { return registry->snapshot(); });
+    exporter = std::make_unique<obs::HttpExporter>(registry);
     cfg.task_traces = &task_traces;
     cfg.trace_sample_rate = 0.25;
     cfg.slo = &slo;

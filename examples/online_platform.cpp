@@ -474,8 +474,7 @@ int main(int argc, char** argv) {
                             "exporter");
       http_cfg.observer = &*http_observer;
     }
-    obs::HttpExporter exporter(
-        [&registry] { return registry.snapshot(); }, http_cfg);
+    obs::HttpExporter exporter(&registry, http_cfg);
     std::printf("exporter listening on http://127.0.0.1:%u\n",
                 static_cast<unsigned>(exporter.port()));
     std::fflush(stdout);

@@ -8,8 +8,7 @@
 #include <optional>
 
 #include "net/json.hpp"
-#include "obs/build_info.hpp"
-#include "obs/sinks.hpp"
+#include "obs/routes.hpp"
 #include "support/stopwatch.hpp"
 
 namespace mfcp::net {
@@ -69,35 +68,6 @@ std::string read_int_field(const std::map<std::string, JsonValue>& fields,
   return {};
 }
 
-/// Route label for the request metrics: a small closed set so the metric
-/// family stays bounded no matter what paths clients probe.
-std::string_view route_label(const HttpRequest& request) {
-  if (request.path == "/submit") return "/submit";
-  if (request.path.rfind("/task/", 0) == 0) return "/task";
-  if (request.path.rfind("/trace/", 0) == 0) return "/trace";
-  if (request.path == "/alerts") return "/alerts";
-  if (request.path == "/ratekeeper") return "/ratekeeper";
-  if (request.path == "/stats") return "/stats";
-  if (request.path == "/metrics") return "/metrics";
-  if (request.path == "/healthz") return "/healthz";
-  if (request.path == "/debug/flight" ||
-      request.path.rfind("/debug/flight?", 0) == 0) {
-    return "/debug/flight";
-  }
-  if (request.path == "/debug/threads") return "/debug/threads";
-  if (request.path == "/debug/profile" ||
-      request.path.rfind("/debug/profile?", 0) == 0) {
-    return "/debug/profile";
-  }
-  if (request.path == "/debug/build") return "/debug/build";
-  if (request.path == "/debug/storage") return "/debug/storage";
-  if (request.path == "/journal" ||
-      request.path.rfind("/journal?", 0) == 0) {
-    return "/journal";
-  }
-  return "other";
-}
-
 std::optional<std::uint64_t> parse_task_id(std::string_view path) {
   constexpr std::string_view kPrefix = "/task/";
   if (path.size() <= kPrefix.size() || path.rfind(kPrefix, 0) != 0) {
@@ -113,19 +83,20 @@ std::optional<std::uint64_t> parse_task_id(std::string_view path) {
   return id;
 }
 
-HttpResponse error_json(int status, std::string_view message) {
-  return json_response(
-      status, "{\"error\":" + json_quote(message) + "}\n");
-}
+/// What the gateway's own routes read.
+struct GatewayContext {
+  engine::GatewayLink& link;
+  const GatewayConfig& config;
+};
 
 HttpResponse handle_submit(const HttpRequest& request,
-                           engine::GatewayLink& link) {
+                           const GatewayContext& ctx) {
   SubmitParse parsed = parse_submit_body(request.body);
   if (!parsed.ok) {
     return error_json(400, parsed.error);
   }
   const engine::SubmitTicket ticket =
-      link.submit(parsed.task, parsed.deadline_hours, parsed.client);
+      ctx.link.submit(parsed.task, parsed.deadline_hours, parsed.client);
   if (!ticket.accepted) {
     HttpResponse r = json_response(
         429, "{\"accepted\":false,\"retry_after_seconds\":" +
@@ -151,14 +122,14 @@ HttpResponse handle_submit(const HttpRequest& request,
 }
 
 HttpResponse handle_task(const HttpRequest& request,
-                         engine::GatewayLink& link) {
+                         const GatewayContext& ctx) {
   const std::optional<std::uint64_t> id = parse_task_id(request.path);
   if (!id.has_value()) {
     return error_json(400, "task id must be a decimal integer");
   }
-  const std::optional<engine::TaskStatus> status = link.status(*id);
+  const std::optional<engine::TaskStatus> status = ctx.link.status(*id);
   if (!status.has_value()) {
-    if (link.table().was_evicted(*id)) {
+    if (ctx.link.table().was_evicted(*id)) {
       return error_json(410, "task status evicted (terminal, past cap)");
     }
     return error_json(404, "unknown task id");
@@ -167,7 +138,8 @@ HttpResponse handle_task(const HttpRequest& request,
 }
 
 HttpResponse handle_trace(const HttpRequest& request,
-                          obs::TraceStore* traces) {
+                          const GatewayContext& ctx) {
+  const obs::TraceStore* traces = ctx.config.traces;
   if (traces == nullptr) {
     return error_json(404, "tracing disabled");
   }
@@ -185,51 +157,26 @@ HttpResponse handle_trace(const HttpRequest& request,
   return json_response(200, task_trace_json(*trace));
 }
 
-HttpResponse handle_alerts(engine::GatewayLink& link, obs::SloMonitor* slo) {
-  if (slo == nullptr) {
+HttpResponse handle_alerts(const HttpRequest&, const GatewayContext& ctx) {
+  if (ctx.config.slo == nullptr) {
     return error_json(404, "slo monitor disabled");
   }
-  const double now = link.sim_time_hours();
-  return json_response(200, slo_alerts_json(slo->evaluate(now), now));
+  const double now = ctx.link.sim_time_hours();
+  return json_response(200,
+                       slo_alerts_json(ctx.config.slo->evaluate(now), now));
 }
 
-HttpResponse handle_ratekeeper(const control::Ratekeeper* ratekeeper,
-                               const control::TokenBucketTable* buckets) {
-  if (ratekeeper == nullptr || buckets == nullptr) {
+HttpResponse handle_ratekeeper(const HttpRequest&, const GatewayContext& ctx) {
+  const GatewayConfig& config = ctx.config;
+  if (config.ratekeeper == nullptr || config.buckets == nullptr) {
     return error_json(404, "ratekeeper disabled");
   }
-  return json_response(
-      200, ratekeeper_status_json(ratekeeper->status(), *buckets));
+  return json_response(200, ratekeeper_status_json(
+                                config.ratekeeper->status(), *config.buckets));
 }
 
-HttpResponse handle_debug_flight(const HttpRequest& request,
-                                 const obs::FlightRecorder* flight) {
-  if (flight == nullptr) {
-    return error_json(404, "flight recorder disabled");
-  }
-  const obs::FlightQuery query = obs::parse_flight_query(request.path);
-  if (!query.valid) {
-    return error_json(
-        400, "bad flight filter (thread=<n>&kind=<name>&limit=<n>)");
-  }
-  return json_response(200, obs::flight_events_json(*flight, query));
-}
-
-HttpResponse handle_debug_threads(const obs::FlightRecorder* flight) {
-  if (flight == nullptr) {
-    return error_json(404, "flight recorder disabled");
-  }
-  return json_response(200, obs::flight_threads_json(*flight));
-}
-
-HttpResponse handle_debug_profile(const HttpRequest& request,
-                                  obs::SamplingProfiler* profiler) {
-  // profile_route owns the whole status mapping (404 disabled, 400
-  // malformed query, 409 concurrent session, 200 folded stacks); the
-  // body is text/plain folded-flamegraph lines, not JSON.
-  obs::ProfileRouteResult result =
-      obs::profile_route(profiler, request.path);
-  return text_response(result.status, std::move(result.body));
+HttpResponse handle_stats(const HttpRequest&, const GatewayContext& ctx) {
+  return json_response(200, service_stats_json(ctx.link.stats()));
 }
 
 /// Parses "/journal?from=<h>&to=<h>" (either bound optional). Returns
@@ -270,7 +217,8 @@ bool parse_journal_query(std::string_view path, double& from, double& to) {
 }
 
 HttpResponse handle_journal(const HttpRequest& request,
-                            const storage::StorageManager* storage) {
+                            const GatewayContext& ctx) {
+  const storage::StorageManager* storage = ctx.config.storage;
   if (storage == nullptr) {
     return text_response(404, "storage disabled\n");
   }
@@ -290,7 +238,9 @@ HttpResponse handle_journal(const HttpRequest& request,
   return r;
 }
 
-HttpResponse handle_debug_storage(const storage::StorageManager* storage) {
+HttpResponse handle_debug_storage(const HttpRequest&,
+                                  const GatewayContext& ctx) {
+  const storage::StorageManager* storage = ctx.config.storage;
   if (storage == nullptr) {
     return text_response(404, "storage disabled\n");
   }
@@ -314,8 +264,27 @@ HttpResponse handle_debug_storage(const storage::StorageManager* storage) {
   return json_response(200, std::move(out));
 }
 
-HttpResponse handle_debug_build() {
-  return json_response(200, obs::build_info_json());
+/// The gateway's own routes; the operator routes (obs/routes.hpp) follow
+/// them. Each row's path is also its route= label on the request metrics.
+constexpr Route<GatewayContext> kGatewayRoutes[] = {
+    {"/submit", PathMatch::kExact, "POST", handle_submit},
+    {"/task", PathMatch::kPrefix, "GET", handle_task},
+    {"/trace", PathMatch::kPrefix, "GET", handle_trace},
+    {"/alerts", PathMatch::kExact, "GET", handle_alerts},
+    {"/ratekeeper", PathMatch::kExact, "GET", handle_ratekeeper},
+    {"/stats", PathMatch::kExact, "GET", handle_stats},
+    {"/debug/storage", PathMatch::kExact, "GET", handle_debug_storage},
+    {"/journal", PathMatch::kQuery, "GET", handle_journal},
+};
+
+/// Route label for the request metrics: a small closed set so the metric
+/// family stays bounded no matter what paths clients probe.
+std::string_view route_label(const HttpRequest& request) {
+  if (const auto* route = find_route(kGatewayRoutes, request.path)) {
+    return route->path;
+  }
+  const std::string_view obs = obs::obs_route_label(request.path);
+  return obs.empty() ? "other" : obs;
 }
 
 }  // namespace
@@ -560,78 +529,19 @@ std::string ratekeeper_status_json(const control::RatekeeperStatus& status,
 HttpResponse route_gateway_request(const HttpRequest& request,
                                    engine::GatewayLink& link,
                                    obs::MetricsRegistry* registry,
-                                   obs::SloMonitor* slo,
-                                   obs::TraceStore* traces,
-                                   const control::Ratekeeper* ratekeeper,
-                                   const control::TokenBucketTable* buckets,
-                                   const obs::FlightRecorder* flight,
-                                   obs::SamplingProfiler* profiler,
-                                   const storage::StorageManager* storage) {
+                                   const GatewayConfig& config) {
   if (!request.valid) {
     return text_response(400, "bad request\n");
   }
-  if (request.path == "/submit") {
-    if (request.method != "POST") {
-      HttpResponse r = text_response(405, "method not allowed\n");
-      r.headers.emplace_back("Allow", "POST");
-      return r;
-    }
-    return handle_submit(request, link);
+  if (std::optional<HttpResponse> r =
+          dispatch(kGatewayRoutes, request, GatewayContext{link, config})) {
+    return std::move(*r);
   }
-  if (request.method != "GET") {
-    HttpResponse r = text_response(405, "method not allowed\n");
-    r.headers.emplace_back("Allow", "GET");
-    return r;
+  if (std::optional<HttpResponse> r = obs::route_obs_request(
+          request, {registry, config.flight, config.profiler})) {
+    return std::move(*r);
   }
-  if (request.path.rfind("/task/", 0) == 0) {
-    return handle_task(request, link);
-  }
-  if (request.path.rfind("/trace/", 0) == 0) {
-    return handle_trace(request, traces);
-  }
-  if (request.path == "/alerts") {
-    return handle_alerts(link, slo);
-  }
-  if (request.path == "/ratekeeper") {
-    return handle_ratekeeper(ratekeeper, buckets);
-  }
-  if (request.path == "/debug/flight" ||
-      request.path.rfind("/debug/flight?", 0) == 0) {
-    return handle_debug_flight(request, flight);
-  }
-  if (request.path == "/debug/threads") {
-    return handle_debug_threads(flight);
-  }
-  if (request.path == "/debug/profile" ||
-      request.path.rfind("/debug/profile?", 0) == 0) {
-    return handle_debug_profile(request, profiler);
-  }
-  if (request.path == "/debug/build") {
-    return handle_debug_build();
-  }
-  if (request.path == "/debug/storage") {
-    return handle_debug_storage(storage);
-  }
-  if (request.path == "/journal" ||
-      request.path.rfind("/journal?", 0) == 0) {
-    return handle_journal(request, storage);
-  }
-  if (request.path == "/stats") {
-    return json_response(200, service_stats_json(link.stats()));
-  }
-  if (request.path == "/healthz") {
-    return text_response(200, "ok\n");
-  }
-  if (request.path == "/metrics") {
-    if (registry == nullptr) {
-      return text_response(404, "no metrics registry\n");
-    }
-    HttpResponse r = text_response(200, obs::to_prometheus(
-                                            registry->snapshot()));
-    r.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    return r;
-  }
-  return text_response(404, "not found\n");
+  return unrouted_response(request);
 }
 
 PlatformGateway::PlatformGateway(engine::GatewayLink& link,
@@ -640,23 +550,17 @@ PlatformGateway::PlatformGateway(engine::GatewayLink& link,
     : link_(link),
       registry_(registry),
       trace_(trace),
-      slo_(config.slo),
-      traces_(config.traces),
-      ratekeeper_(config.ratekeeper),
-      buckets_(config.buckets),
-      flight_(config.flight),
-      profiler_(config.profiler),
-      storage_(config.storage) {
+      config_(std::move(config)) {
   if (registry_ != nullptr) {
     submit_seconds_ = &registry_->histogram("mfcp_gateway_submit_seconds",
                                             obs::default_time_bounds());
-    if (slo_ != nullptr) {
-      slo_->bind_metrics(registry_);
+    if (config_.slo != nullptr) {
+      config_.slo->bind_metrics(registry_);
     }
   }
   server_ = std::make_unique<HttpServer>(
       [this](const HttpRequest& request) { return handle(request); },
-      config.http);
+      config_.http);
 }
 
 HttpResponse PlatformGateway::handle(const HttpRequest& request) {
@@ -666,17 +570,14 @@ HttpResponse PlatformGateway::handle(const HttpRequest& request) {
   if (is_submit) {
     const Stopwatch submit_watch;
     obs::ScopedSpan span(submit_seconds_, "gateway_submit", trace_);
-    response = route_gateway_request(request, link_, registry_, slo_,
-                                     traces_, ratekeeper_, buckets_, flight_,
-                                     profiler_, storage_);
+    response = route_gateway_request(request, link_, registry_, config_);
     span.stop();
-    if (slo_ != nullptr) {
-      slo_->observe_submit(link_.sim_time_hours(), submit_watch.seconds());
+    if (config_.slo != nullptr) {
+      config_.slo->observe_submit(link_.sim_time_hours(),
+                                  submit_watch.seconds());
     }
   } else {
-    response = route_gateway_request(request, link_, registry_, slo_,
-                                     traces_, ratekeeper_, buckets_, flight_,
-                                     profiler_, storage_);
+    response = route_gateway_request(request, link_, registry_, config_);
   }
   if (registry_ != nullptr) {
     registry_

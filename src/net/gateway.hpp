@@ -17,18 +17,6 @@
 //                       when the Ratekeeper is disabled
 //   GET  /stats      -> 200 flat JSON: queue depth, round cadence,
 //                       cumulative regret, task-state counts
-//   GET  /debug/flight[?thread=&kind=&limit=]
-//                    -> 200 recent flight-recorder events (black box),
-//                       400 malformed filter, 404 recorder disabled
-//   GET  /debug/threads
-//                    -> 200 per-thread heartbeat ages + stall flags
-//   GET  /debug/profile[?seconds=&hz=]
-//                    -> 200 folded CPU profile from an on-demand sampling
-//                       session, 400 malformed params, 404 profiler
-//                       disabled, 409 while another session runs
-//   GET  /debug/build
-//                    -> 200 build provenance JSON (git sha, compiler,
-//                       build type, sanitizers)
 //   GET  /journal[?from=&to=]
 //                    -> 200 NDJSON round/task records from the chunked
 //                       on-disk journal whose close_hours fall in
@@ -40,14 +28,34 @@
 //                       bytes/fsyncs/segments, recovery counts,
 //                       checkpoint generation, chunk census; 404
 //                       storage disabled
-//   GET  /metrics    -> 200 Prometheus exposition of the shared registry
-//   GET  /healthz    -> 200 "ok\n"
 //
+// The operator routes (obs/routes.hpp), also served by obs::HttpExporter:
+//
+//   GET  /metrics    -> 200 Prometheus exposition of the shared registry,
+//                       404 no registry
+//   GET  /healthz    -> 200 "ok\n"
+//   GET  /debug/flight[?thread=&kind=&limit=]
+//                    -> 200 recent flight-recorder events (black box),
+//                       400 malformed filter, 404 recorder disabled
+//   GET  /debug/threads
+//                    -> 200 per-thread heartbeat ages + stall flags,
+//                       404 recorder disabled
+//   GET  /debug/profile[?seconds=&hz=]
+//                    -> 200 folded CPU profile from an on-demand sampling
+//                       session, 400 malformed params, 404 profiler
+//                       disabled, 409 while another session runs
+//   GET  /debug/build
+//                    -> 200 build provenance JSON (git sha, compiler,
+//                       build type, sanitizers)
+//
+// Any other path -> 404; a method a route does not take -> 405 + Allow.
 // The request -> response mapping is a pure function over the parsed
 // request (route_gateway_request), so every route is unit-testable
 // without a socket; PlatformGateway glues it onto the shared
 // net::HttpServer core and adds the request metrics
-// (mfcp_gateway_requests_total{route=,status=}, submit latency).
+// (mfcp_gateway_requests_total{route=,status=}, submit latency). The
+// route= label is the matched route's path above ("/task", "/trace" for
+// the id routes), or "other".
 //
 // Backpressure is decided by the engine-side GatewayLink, not here: the
 // gateway never buffers tasks itself, so a 200 means the task is in the
@@ -118,21 +126,6 @@ struct SubmitParse {
     const control::RatekeeperStatus& status,
     const control::TokenBucketTable& buckets);
 
-/// Maps one parsed request to its response — the socket-free core of the
-/// gateway. `registry` backs GET /metrics and may be null (404 then);
-/// `slo` backs GET /alerts, `traces` GET /trace/<id>, and
-/// `ratekeeper`+`buckets` GET /ratekeeper — all optional (404 when
-/// absent) so pre-existing call sites keep working unchanged.
-[[nodiscard]] HttpResponse route_gateway_request(
-    const HttpRequest& request, engine::GatewayLink& link,
-    obs::MetricsRegistry* registry, obs::SloMonitor* slo = nullptr,
-    obs::TraceStore* traces = nullptr,
-    const control::Ratekeeper* ratekeeper = nullptr,
-    const control::TokenBucketTable* buckets = nullptr,
-    const obs::FlightRecorder* flight = nullptr,
-    obs::SamplingProfiler* profiler = nullptr,
-    const storage::StorageManager* storage = nullptr);
-
 struct GatewayConfig {
   HttpServerConfig http;
   /// Burn-rate monitor behind GET /alerts; submit latencies are observed
@@ -158,6 +151,13 @@ struct GatewayConfig {
   /// (404 when absent).
   const storage::StorageManager* storage = nullptr;
 };
+
+/// Maps one parsed request to its response — the socket-free core of the
+/// gateway. `registry` backs GET /metrics; it and every source in
+/// `config` are optional (their routes answer 404 when absent).
+[[nodiscard]] HttpResponse route_gateway_request(
+    const HttpRequest& request, engine::GatewayLink& link,
+    obs::MetricsRegistry* registry, const GatewayConfig& config = {});
 
 /// The running service: an HttpServer whose handler routes into `link`
 /// and records per-route request metrics into `registry` (both borrowed;
@@ -190,13 +190,7 @@ class PlatformGateway {
   engine::GatewayLink& link_;
   obs::MetricsRegistry* registry_;
   obs::TraceRing* trace_;
-  obs::SloMonitor* slo_;
-  obs::TraceStore* traces_;
-  const control::Ratekeeper* ratekeeper_;
-  const control::TokenBucketTable* buckets_;
-  const obs::FlightRecorder* flight_;
-  obs::SamplingProfiler* profiler_;
-  const storage::StorageManager* storage_;
+  GatewayConfig config_;
   obs::Histogram* submit_seconds_ = nullptr;
   std::unique_ptr<HttpServer> server_;
 };

@@ -4,6 +4,8 @@
 #include <cctype>
 #include <charconv>
 
+#include "net/json.hpp"
+
 namespace mfcp::net {
 
 namespace {
@@ -172,6 +174,41 @@ HttpResponse json_response(int status, std::string body) {
   r.content_type = "application/json";
   r.body = std::move(body);
   return r;
+}
+
+HttpResponse error_json(int status, std::string_view message) {
+  return json_response(status,
+                       "{\"error\":" + json_quote(message) + "}\n");
+}
+
+HttpResponse method_not_allowed(std::string_view allow) {
+  HttpResponse r = text_response(405, "method not allowed\n");
+  r.headers.emplace_back("Allow", std::string(allow));
+  return r;
+}
+
+HttpResponse unrouted_response(const HttpRequest& request) {
+  if (request.method != "GET") {
+    return method_not_allowed("GET");
+  }
+  return text_response(404, "not found\n");
+}
+
+bool path_matches(std::string_view route, PathMatch match,
+                  std::string_view path) noexcept {
+  if (path.substr(0, route.size()) != route) {
+    return false;
+  }
+  const std::string_view rest = path.substr(route.size());
+  switch (match) {
+    case PathMatch::kExact:
+      return rest.empty();
+    case PathMatch::kQuery:
+      return rest.empty() || rest.front() == '?';
+    case PathMatch::kPrefix:
+      return !rest.empty() && rest.front() == '/';
+  }
+  return false;
 }
 
 }  // namespace mfcp::net

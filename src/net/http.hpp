@@ -9,6 +9,7 @@
 // unit-testable without ever opening a listener.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -60,5 +61,63 @@ struct HttpResponse {
 /// Convenience constructors for the common response shapes.
 [[nodiscard]] HttpResponse text_response(int status, std::string body);
 [[nodiscard]] HttpResponse json_response(int status, std::string body);
+/// {"error":"<message>"} with a trailing newline.
+[[nodiscard]] HttpResponse error_json(int status, std::string_view message);
+/// 405 with an Allow header naming the one accepted method.
+[[nodiscard]] HttpResponse method_not_allowed(std::string_view allow);
+/// The answer for a request no route table claims: 405 (Allow: GET) for
+/// any other method, else 404.
+[[nodiscard]] HttpResponse unrouted_response(const HttpRequest& request);
+
+// ---------------------------------------------------------- route tables --
+
+/// How a route's path matches a request path.
+enum class PathMatch {
+  kExact,   // path == route
+  kQuery,   // path == route, or route + "?<query>"
+  kPrefix,  // route + "/<rest>", e.g. /task/<id>
+};
+
+[[nodiscard]] bool path_matches(std::string_view route, PathMatch match,
+                                std::string_view path) noexcept;
+
+/// One row of a route table. `path` is both the match key and the value
+/// of the route= label on the gateway's request metrics. `Ctx` carries
+/// whatever the handlers read.
+template <class Ctx>
+struct Route {
+  std::string_view path;
+  PathMatch match;
+  std::string_view method;
+  HttpResponse (*handle)(const HttpRequest&, const Ctx&);
+};
+
+/// First row of `table` whose path matches, or null.
+template <class Ctx, std::size_t N>
+[[nodiscard]] const Route<Ctx>* find_route(const Route<Ctx> (&table)[N],
+                                           std::string_view path) noexcept {
+  for (const Route<Ctx>& route : table) {
+    if (path_matches(route.path, route.match, path)) {
+      return &route;
+    }
+  }
+  return nullptr;
+}
+
+/// Answers `request` from the first matching row (405 when the method
+/// differs), or nullopt when no row matches.
+template <class Ctx, std::size_t N>
+[[nodiscard]] std::optional<HttpResponse> dispatch(
+    const Route<Ctx> (&table)[N], const HttpRequest& request,
+    const Ctx& ctx) {
+  const Route<Ctx>* route = find_route(table, request.path);
+  if (route == nullptr) {
+    return std::nullopt;
+  }
+  if (request.method != route->method) {
+    return method_not_allowed(route->method);
+  }
+  return route->handle(request, ctx);
+}
 
 }  // namespace mfcp::net

@@ -23,14 +23,6 @@ std::uint64_t now_ns() noexcept {
       std::chrono::steady_clock::now().time_since_epoch().count());
 }
 
-std::size_t round_up_pow2(std::size_t n) noexcept {
-  std::size_t p = 8;  // floor so tiny test rings still wrap sanely
-  while (p < n) {
-    p <<= 1;
-  }
-  return p;
-}
-
 constexpr std::string_view kKindNames[] = {
     "none",        "round_begin", "round_end",  "batch_formed",
     "solver_iters", "admission",  "rate_change", "http_begin",
@@ -59,68 +51,37 @@ std::optional<FlightKind> parse_flight_kind(std::string_view name) noexcept {
 
 // ----------------------------------------------------------- FlightRing --
 
-FlightRing::FlightRing(std::size_t capacity)
-    : mask_(round_up_pow2(capacity) - 1),
-      slots_(std::make_unique<Slot[]>(mask_ + 1)) {}
-
 void FlightRing::record(FlightEvent event) noexcept {
-  const std::uint64_t seq = head_.load(std::memory_order_relaxed) + 1;
-  Slot& slot = slots_[(seq - 1) & mask_];
-  // Per-slot seqlock write side: invalidate, fence, payload, publish. The
-  // release fence keeps the invalidation ahead of the payload stores in
-  // every reader's view, so a reader can never pair a stale sequence
-  // number with fresh payload words.
-  slot.word[0].store(0, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.word[1].store(event.wall_ns, std::memory_order_relaxed);
-  slot.word[2].store(std::bit_cast<std::uint64_t>(event.sim_hours),
-                     std::memory_order_relaxed);
-  slot.word[3].store(event.a0, std::memory_order_relaxed);
-  slot.word[4].store(event.a1, std::memory_order_relaxed);
-  slot.word[5].store(event.a2, std::memory_order_relaxed);
-  slot.word[6].store(event.trace_id, std::memory_order_relaxed);
-  slot.word[7].store(static_cast<std::uint64_t>(event.kind) |
-                         (static_cast<std::uint64_t>(event.thread) << 16),
-                     std::memory_order_relaxed);
-  slot.word[0].store(seq, std::memory_order_release);
-  head_.store(seq, std::memory_order_release);
+  const std::uint64_t words[] = {
+      event.wall_ns,
+      std::bit_cast<std::uint64_t>(event.sim_hours),
+      event.a0,
+      event.a1,
+      event.a2,
+      event.trace_id,
+      static_cast<std::uint64_t>(event.kind) |
+          (static_cast<std::uint64_t>(event.thread) << 16),
+  };
+  publish(words, kPayloadWords);
 }
 
 std::vector<FlightEvent> FlightRing::snapshot() const {
-  const std::uint64_t h = head_.load(std::memory_order_acquire);
-  if (h == 0) {
-    return {};
-  }
-  const std::uint64_t cap = capacity();
-  const std::uint64_t lo = h > cap ? h - cap + 1 : 1;
   std::vector<FlightEvent> out;
-  out.reserve(static_cast<std::size_t>(h - lo + 1));
-  for (std::uint64_t seq = lo; seq <= h; ++seq) {
-    const Slot& slot = slots_[(seq - 1) & mask_];
-    if (slot.word[0].load(std::memory_order_acquire) != seq) {
-      continue;  // overwritten (or mid-write) since we sampled head
-    }
+  out.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
+      head(), capacity())));
+  for_each([&out](std::uint64_t seq, const Payload& w) {
     FlightEvent e;
-    e.wall_ns = slot.word[1].load(std::memory_order_relaxed);
-    e.sim_hours = std::bit_cast<double>(
-        slot.word[2].load(std::memory_order_relaxed));
-    e.a0 = slot.word[3].load(std::memory_order_relaxed);
-    e.a1 = slot.word[4].load(std::memory_order_relaxed);
-    e.a2 = slot.word[5].load(std::memory_order_relaxed);
-    e.trace_id = slot.word[6].load(std::memory_order_relaxed);
-    const std::uint64_t packed =
-        slot.word[7].load(std::memory_order_relaxed);
-    e.kind = static_cast<std::uint16_t>(packed & 0xFFFF);
-    e.thread = static_cast<std::uint16_t>((packed >> 16) & 0xFFFF);
-    // Seqlock read side: the acquire fence orders the payload loads
-    // before the recheck, so an overwrite that raced the copy is caught.
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.word[0].load(std::memory_order_relaxed) != seq) {
-      continue;
-    }
     e.seq = seq;
+    e.wall_ns = w[0];
+    e.sim_hours = std::bit_cast<double>(w[1]);
+    e.a0 = w[2];
+    e.a1 = w[3];
+    e.a2 = w[4];
+    e.trace_id = w[5];
+    e.kind = static_cast<std::uint16_t>(w[6] & 0xFFFF);
+    e.thread = static_cast<std::uint16_t>((w[6] >> 16) & 0xFFFF);
     out.push_back(e);
-  }
+  });
   return out;
 }
 

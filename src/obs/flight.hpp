@@ -53,6 +53,7 @@
 
 #include "net/http_server.hpp"
 #include "obs/metrics.hpp"
+#include "obs/seqlock_ring.hpp"
 
 namespace mfcp::obs {
 
@@ -102,51 +103,33 @@ struct FlightEvent {
 static_assert(sizeof(FlightEvent) == 64, "event is one cache line");
 
 /// Single-writer ring of event slots (public for tests; production code
-/// records through FlightRecorder). Capacity is rounded up to a power of
-/// two. record() must only ever be called from one thread; snapshot() is
-/// safe from any thread concurrently with the writer.
-class FlightRing {
+/// records through FlightRecorder): the FlightEvent encoding on a
+/// SeqlockRing of 8-word slots, seq in word 0 — the slot is the event's
+/// wire format. Capacity is rounded up to a power of two. record() must
+/// only ever be called from one thread; snapshot() is safe from any
+/// thread concurrently with the writer.
+class FlightRing : private SeqlockRing<8> {
  public:
-  explicit FlightRing(std::size_t capacity);
-
-  FlightRing(const FlightRing&) = delete;
-  FlightRing& operator=(const FlightRing&) = delete;
+  explicit FlightRing(std::size_t capacity) : SeqlockRing(capacity) {}
 
   /// Records one event (seq is assigned internally; `event.seq` ignored).
   void record(FlightEvent event) noexcept;
 
-  /// Events ever written (== the newest live sequence number).
-  [[nodiscard]] std::uint64_t head() const noexcept {
-    return head_.load(std::memory_order_acquire);
-  }
-
-  [[nodiscard]] std::size_t capacity() const noexcept { return mask_ + 1; }
-
-  /// Copies out the currently-valid window, oldest first. Slots the
-  /// writer is overwriting mid-copy are detected via the seqlock and
-  /// skipped, so the result is always a consistent (possibly gappy at the
-  /// oldest edge) suffix of the stream.
+  /// Copies out the currently-valid window, oldest first (a consistent,
+  /// possibly gappy at the oldest edge, suffix of the stream).
   [[nodiscard]] std::vector<FlightEvent> snapshot() const;
 
-  /// Raw slot memory for the crash path (capacity() * 64 bytes). The
-  /// atomics inside are plain 64-bit words in memory; writing these bytes
-  /// with write(2) is the crash-dump format.
-  [[nodiscard]] const void* raw_slots() const noexcept {
-    return slots_.get();
-  }
+  /// Events ever written (== the newest live sequence number).
+  using SeqlockRing::head;
+  using SeqlockRing::capacity;
+  /// Raw slot memory for the crash path (capacity() * 64 bytes); writing
+  /// these bytes with write(2) is the crash-dump format.
+  using SeqlockRing::raw_slots;
   [[nodiscard]] std::size_t raw_bytes() const noexcept {
-    return capacity() * sizeof(FlightEvent);
+    return capacity() * kSlotBytes;
   }
-
- private:
-  struct alignas(64) Slot {
-    std::atomic<std::uint64_t> word[8];
-  };
-  static_assert(sizeof(Slot) == 64, "slot matches the wire format");
-
-  std::size_t mask_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<std::uint64_t> head_{0};
+  static_assert(kSlotBytes == sizeof(FlightEvent),
+                "slot matches the wire format");
 };
 
 /// Health view of one registered heartbeat.

@@ -1,99 +1,10 @@
 #include "obs/http_exporter.hpp"
 
-#include "net/http.hpp"
-#include "obs/build_info.hpp"
-#include "obs/sinks.hpp"
-
 namespace mfcp::obs {
 
-namespace {
-
-/// The exporter's whole route table, socket-free. Shared by the live
-/// server handler and the static respond() below (which passes a null
-/// recorder, so its pre-flight response bytes are unchanged).
-net::HttpResponse route(const std::string& method, const std::string& path,
-                        const HttpExporter::SnapshotFn& snapshot,
-                        const FlightRecorder* flight,
-                        SamplingProfiler* profiler) {
-  if (method != "GET") {
-    net::HttpResponse r = net::text_response(405, "method not allowed\n");
-    r.headers.emplace_back("Allow", "GET");
-    return r;
-  }
-  if (path == "/metrics") {
-    net::HttpResponse r = net::text_response(
-        200, to_prometheus(snapshot ? snapshot() : RegistrySnapshot{}));
-    r.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    return r;
-  }
-  if (path == "/healthz") {
-    return net::text_response(200, "ok\n");
-  }
-  if (flight != nullptr &&
-      (path == "/debug/flight" ||
-       path.rfind("/debug/flight?", 0) == 0)) {
-    const FlightQuery query = parse_flight_query(path);
-    if (!query.valid) {
-      return net::text_response(400, "bad flight filter\n");
-    }
-    net::HttpResponse r =
-        net::text_response(200, flight_events_json(*flight, query));
-    r.content_type = "application/json";
-    return r;
-  }
-  if (flight != nullptr && path == "/debug/threads") {
-    net::HttpResponse r =
-        net::text_response(200, flight_threads_json(*flight));
-    r.content_type = "application/json";
-    return r;
-  }
-  if (profiler != nullptr &&
-      (path == "/debug/profile" ||
-       path.rfind("/debug/profile?", 0) == 0)) {
-    // Blocks this worker for the session duration by design: the other
-    // worker keeps serving scrapes, and concurrent profile requests are
-    // refused with 409 inside profile_route.
-    ProfileRouteResult result = profile_route(profiler, path);
-    return net::text_response(result.status, std::move(result.body));
-  }
-  if (path == "/debug/build") {
-    net::HttpResponse r = net::text_response(200, build_info_json());
-    r.content_type = "application/json";
-    return r;
-  }
-  return net::text_response(404, "not found\n");
-}
-
-}  // namespace
-
-HttpExporter::Request HttpExporter::parse_request_line(
-    std::string_view line) {
-  const net::HttpRequest parsed = net::parse_request_head(line);
-  Request req;
-  if (!parsed.valid) {
-    return req;
-  }
-  req.method = parsed.method;
-  req.path = parsed.path;
-  req.valid = true;
-  return req;
-}
-
-std::string HttpExporter::respond(const Request& request,
-                                  const SnapshotFn& snapshot) {
-  if (!request.valid) {
-    // Pre-rebase behavior, kept: a line that does not parse is a 404.
-    return net::serialize_response(
-        net::text_response(404, "bad request\n"));
-  }
-  return net::serialize_response(
-      route(request.method, request.path, snapshot, nullptr, nullptr));
-}
-
-HttpExporter::HttpExporter(SnapshotFn snapshot, HttpExporterConfig config)
-    : snapshot_(std::move(snapshot)),
-      flight_(config.flight),
-      profiler_(config.profiler) {
+HttpExporter::HttpExporter(const MetricsRegistry* registry,
+                           HttpExporterConfig config)
+    : sources_{registry, config.flight, config.profiler} {
   net::HttpServerConfig server_config;
   server_config.bind_address = std::move(config.bind_address);
   server_config.port = config.port;
@@ -103,8 +14,10 @@ HttpExporter::HttpExporter(SnapshotFn snapshot, HttpExporterConfig config)
   server_config.observer = config.observer;
   server_ = std::make_unique<net::HttpServer>(
       [this](const net::HttpRequest& request) {
-        return route(request.method, request.path, snapshot_, flight_,
-                     profiler_);
+        std::optional<net::HttpResponse> response =
+            route_obs_request(request, sources_);
+        return response.has_value() ? std::move(*response)
+                                    : net::unrouted_response(request);
       },
       server_config);
 }

@@ -1,40 +1,24 @@
-// Live-metrics HTTP endpoint, rebased on the shared net::HttpServer core
-// (PR 4) — the exporter is now a thin route table:
+// Live-metrics HTTP endpoint: the operator routes of obs/routes.hpp
+// mounted alone on a net::HttpServer. It serves the subset of the
+// gateway's route table (net/gateway.hpp) that needs no engine:
 //
-//   GET /metrics        -> 200, Prometheus text exposition of a snapshot
-//   GET /healthz        -> 200, "ok\n"
-//   GET /debug/flight   -> 200, recent flight-recorder events (when a
-//                          recorder is configured; filterable via
-//                          ?thread=&kind=&limit=, 400 on a bad filter)
-//   GET /debug/threads  -> 200, per-thread heartbeat ages + stall flags
-//   GET /debug/profile  -> 200, folded CPU profile (?seconds=&hz=; when a
-//                          profiler is configured; 400 on bad params,
-//                          409 while another session runs)
-//   GET /debug/build    -> 200, build provenance (git sha, compiler, ...)
-//   GET <other>         -> 404;  non-GET -> 405
+//   GET /metrics, /healthz, /debug/flight[?thread=&kind=&limit=],
+//   /debug/threads, /debug/profile[?seconds=&hz=], /debug/build
+//   GET <other> -> 404;  non-GET -> 405
 //
-// The exporter pulls: each scrape invokes the caller-supplied snapshot
-// function, so the running engine never blocks on the exporter — scrapes
-// pay the snapshot cost (summing sharded atomics), the instrumented hot
-// path pays nothing. Accepting, backlog bounding, timeouts, and graceful
-// shutdown all live in net::HttpServer now; this class only decides what
-// a scrape returns.
-//
-// The static parse_request_line/respond pair remains the socket-free,
-// unit-testable protocol surface (delegating to net/http.hpp), with the
-// exact response bytes the pre-rebase exporter produced.
+// The exporter pulls: each scrape snapshots the registry, so the running
+// engine never blocks on the exporter — scrapes pay the snapshot cost
+// (summing sharded atomics), the instrumented hot path pays nothing.
+// Accepting, backlog bounding, timeouts, 400 for unparsable requests and
+// graceful shutdown all live in net::HttpServer.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 
 #include "net/http_server.hpp"
-#include "obs/flight.hpp"
-#include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
+#include "obs/routes.hpp"
 
 namespace mfcp::obs {
 
@@ -52,8 +36,7 @@ struct HttpExporterConfig {
   /// without reserving more threads.
   std::size_t worker_threads = 2;
   /// Flight recorder behind GET /debug/flight and /debug/threads.
-  /// Borrowed, optional (404 when absent — the static respond() surface
-  /// never sees these routes, so its pinned bytes are untouched).
+  /// Borrowed, optional (404 when absent).
   const FlightRecorder* flight = nullptr;
   /// Sampling profiler behind GET /debug/profile. Borrowed, optional
   /// (404 when absent); mutable because a scrape runs a session.
@@ -65,13 +48,11 @@ struct HttpExporterConfig {
 
 class HttpExporter {
  public:
-  /// Produces the snapshot a scrape renders. Called on a server worker
-  /// thread once per /metrics request; must be thread-safe.
-  using SnapshotFn = std::function<RegistrySnapshot()>;
-
-  /// Binds, listens, and starts the server threads. Throws ContractError
+  /// Binds, listens, and starts the server threads; `registry` (borrowed,
+  /// must outlive the exporter) backs GET /metrics. Throws ContractError
   /// when the socket cannot be created or bound.
-  explicit HttpExporter(SnapshotFn snapshot, HttpExporterConfig config = {});
+  explicit HttpExporter(const MetricsRegistry* registry,
+                        HttpExporterConfig config = {});
 
   HttpExporter(const HttpExporter&) = delete;
   HttpExporter& operator=(const HttpExporter&) = delete;
@@ -92,24 +73,8 @@ class HttpExporter {
   /// Idempotent early shutdown (also run by the destructor).
   void stop() { server_->stop(); }
 
-  /// First line of an HTTP request, split. `valid` is false when the line
-  /// is not "METHOD SP PATH SP VERSION".
-  struct Request {
-    std::string method;
-    std::string path;
-    bool valid = false;
-  };
-  static Request parse_request_line(std::string_view line);
-
-  /// Full HTTP/1.1 response (status line + headers + body) for `request`.
-  /// `snapshot` is only invoked for GET /metrics.
-  static std::string respond(const Request& request,
-                             const SnapshotFn& snapshot);
-
  private:
-  SnapshotFn snapshot_;
-  const FlightRecorder* flight_ = nullptr;
-  SamplingProfiler* profiler_ = nullptr;
+  ObsSources sources_;
   std::unique_ptr<net::HttpServer> server_;
 };
 

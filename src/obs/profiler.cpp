@@ -11,6 +11,7 @@
 #include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -56,14 +57,6 @@ std::uint64_t thread_cpu_ns() noexcept {
   }
   return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ull +
          static_cast<std::uint64_t>(ts.tv_nsec);
-}
-
-std::size_t round_up_pow2(std::size_t n) noexcept {
-  std::size_t p = 8;
-  while (p < n) {
-    p <<= 1;
-  }
-  return p;
 }
 
 // --------------------------------------------------- stage TLS + clock --
@@ -133,77 +126,40 @@ void StageScope::close() noexcept {
 
 // ------------------------------------------------------------ SampleRing --
 
-SampleRing::SampleRing(std::size_t capacity)
-    : mask_(round_up_pow2(capacity) - 1),
-      slots_(std::make_unique<Slot[]>(mask_ + 1)) {}
-
 void SampleRing::record(EngineStage stage, std::uint16_t thread,
                         const void* const* pcs, std::size_t depth) noexcept {
-  if (depth > kMaxSampleFrames) {
-    depth = kMaxSampleFrames;
-  }
-  const std::uint64_t seq = head_.load(std::memory_order_relaxed) + 1;
-  Slot& slot = slots_[(seq - 1) & mask_];
-  // Per-slot seqlock write side (same as FlightRing::record): invalidate,
-  // fence, payload, publish — all plain atomic stores, so this is safe
-  // inside the SIGPROF handler.
-  slot.word[0].store(0, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.word[1].store(static_cast<std::uint64_t>(depth) |
-                         (static_cast<std::uint64_t>(stage) << 8) |
-                         (static_cast<std::uint64_t>(thread) << 16),
-                     std::memory_order_relaxed);
+  depth = std::min(depth, kMaxSampleFrames);
+  std::uint64_t words[kPayloadWords];
+  words[0] = static_cast<std::uint64_t>(depth) |
+             (static_cast<std::uint64_t>(stage) << 8) |
+             (static_cast<std::uint64_t>(thread) << 16);
   for (std::size_t i = 0; i < depth; ++i) {
-    slot.word[2 + i].store(reinterpret_cast<std::uint64_t>(pcs[i]),
-                           std::memory_order_relaxed);
+    words[1 + i] = reinterpret_cast<std::uint64_t>(pcs[i]);
   }
-  slot.word[0].store(seq, std::memory_order_release);
-  head_.store(seq, std::memory_order_release);
+  publish(words, 1 + depth);
 }
 
 std::vector<ProfileSample> SampleRing::snapshot() const {
-  const std::uint64_t h = head_.load(std::memory_order_acquire);
-  if (h == 0) {
-    return {};
-  }
-  const std::uint64_t cap = capacity();
-  const std::uint64_t lo = h > cap ? h - cap + 1 : 1;
   std::vector<ProfileSample> out;
-  out.reserve(static_cast<std::size_t>(h - lo + 1));
-  for (std::uint64_t seq = lo; seq <= h; ++seq) {
-    const Slot& slot = slots_[(seq - 1) & mask_];
-    if (slot.word[0].load(std::memory_order_acquire) != seq) {
-      continue;  // overwritten (or mid-write) since we sampled head
-    }
-    const std::uint64_t packed = slot.word[1].load(std::memory_order_relaxed);
+  out.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
+      head(), capacity())));
+  for_each([&out](std::uint64_t seq, const Payload& w) {
     const std::size_t depth =
-        std::min<std::size_t>(packed & 0xFF, kMaxSampleFrames);
+        std::min<std::size_t>(w[0] & 0xFF, kMaxSampleFrames);
     ProfileSample sample;
-    sample.pcs.resize(depth);
-    for (std::size_t i = 0; i < depth; ++i) {
-      sample.pcs[i] = reinterpret_cast<const void*>(
-          slot.word[2 + i].load(std::memory_order_relaxed));
-    }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.word[0].load(std::memory_order_relaxed) != seq) {
-      continue;  // torn by a concurrent overwrite; drop
-    }
     sample.seq = seq;
-    sample.thread = static_cast<std::uint16_t>((packed >> 16) & 0xFFFF);
-    const std::size_t stage = (packed >> 8) & 0xFF;
+    sample.thread = static_cast<std::uint16_t>((w[0] >> 16) & 0xFFFF);
+    const std::size_t stage = (w[0] >> 8) & 0xFF;
     sample.stage = stage < kEngineStageCount
                        ? static_cast<EngineStage>(stage)
                        : EngineStage::kNone;
+    sample.pcs.resize(depth);
+    for (std::size_t i = 0; i < depth; ++i) {
+      sample.pcs[i] = reinterpret_cast<const void*>(w[1 + i]);
+    }
     out.push_back(std::move(sample));
-  }
+  });
   return out;
-}
-
-void SampleRing::reset() noexcept {
-  for (std::size_t i = 0; i <= mask_; ++i) {
-    slots_[i].word[0].store(0, std::memory_order_relaxed);
-  }
-  head_.store(0, std::memory_order_release);
 }
 
 // ------------------------------------------------- registration + signal --
@@ -571,7 +527,7 @@ void set_default_profiler(SamplingProfiler* profiler) noexcept {
   g_default_profiler.store(profiler, std::memory_order_release);
 }
 
-// ------------------------------------------------------------ HTTP route --
+// --------------------------------------------------------- profile query --
 
 ProfileQuery parse_profile_query(std::string_view path) {
   ProfileQuery query;
@@ -618,24 +574,6 @@ ProfileQuery parse_profile_query(std::string_view path) {
     }
   }
   return query;
-}
-
-ProfileRouteResult profile_route(SamplingProfiler* profiler,
-                                 std::string_view path) {
-  if (profiler == nullptr) {
-    return {404, "profiler disabled (run with --profile)\n"};
-  }
-  const ProfileQuery query = parse_profile_query(path);
-  if (!query.valid) {
-    return {400,
-            "malformed profile query: seconds in (0,30], hz in [1,1000]\n"};
-  }
-  std::optional<std::string> folded =
-      profiler->collect_folded(query.seconds, query.hz);
-  if (!folded.has_value()) {
-    return {409, "a profile session is already running\n"};
-  }
-  return {200, std::move(*folded)};
 }
 
 }  // namespace mfcp::obs

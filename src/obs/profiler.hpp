@@ -50,6 +50,8 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/seqlock_ring.hpp"
+
 namespace mfcp::obs {
 
 /// Engine round stages, in round order. kNone marks code outside any
@@ -105,17 +107,14 @@ struct ProfileSample {
 inline constexpr std::size_t kMaxSampleFrames = 30;
 
 /// Single-writer ring of sample slots (public for tests; production
-/// samples arrive through SamplingProfiler's signal handler). One slot
-/// is 32 little-endian 64-bit words: seq, packed depth/stage/thread,
-/// then up to kMaxSampleFrames program counters. The write side runs
-/// inside a signal handler, so it is pure relaxed/release atomic
-/// stores — the same per-slot seqlock as obs/flight's FlightRing.
-class SampleRing {
+/// samples arrive through SamplingProfiler's signal handler): the sample
+/// encoding on a SeqlockRing of 32-word slots — seq, packed
+/// depth/stage/thread, then up to kMaxSampleFrames program counters. The
+/// write side is atomic stores only, so it is safe inside the SIGPROF
+/// handler.
+class SampleRing : private SeqlockRing<2 + kMaxSampleFrames> {
  public:
-  explicit SampleRing(std::size_t capacity);
-
-  SampleRing(const SampleRing&) = delete;
-  SampleRing& operator=(const SampleRing&) = delete;
+  explicit SampleRing(std::size_t capacity) : SeqlockRing(capacity) {}
 
   /// Records one stack (async-signal-safe: atomics only). `depth` is
   /// clamped to kMaxSampleFrames. Must only ever be called from one
@@ -123,29 +122,16 @@ class SampleRing {
   void record(EngineStage stage, std::uint16_t thread,
               const void* const* pcs, std::size_t depth) noexcept;
 
-  /// Samples ever written (== newest live sequence number).
-  [[nodiscard]] std::uint64_t head() const noexcept {
-    return head_.load(std::memory_order_acquire);
-  }
-
-  [[nodiscard]] std::size_t capacity() const noexcept { return mask_ + 1; }
-
   /// Copies out the currently-valid window, oldest first, skipping
   /// slots the writer is overwriting mid-copy (seqlock recheck).
   [[nodiscard]] std::vector<ProfileSample> snapshot() const;
 
+  /// Samples ever written (== newest live sequence number).
+  using SeqlockRing::head;
+  using SeqlockRing::capacity;
   /// Empties the ring. Only call while no writer can be sampling into
   /// it (i.e. between sessions).
-  void reset() noexcept;
-
- private:
-  struct alignas(64) Slot {
-    std::atomic<std::uint64_t> word[2 + kMaxSampleFrames];
-  };
-
-  std::size_t mask_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<std::uint64_t> head_{0};
+  using SeqlockRing::reset;
 };
 
 struct ProfilerConfig {
@@ -264,16 +250,5 @@ void set_default_profiler(SamplingProfiler* profiler) noexcept;
 /// Bumped on every set_default_profiler(); long-lived loops that cache
 /// the resolved pointer compare generations before reuse.
 [[nodiscard]] std::uint64_t default_profiler_generation() noexcept;
-
-/// Status + body of the GET /debug/profile route, shared by the
-/// gateway and the metrics exporter: 404 when `profiler` is null, 400
-/// on a malformed query, 409 when a session is already running, else
-/// 200 with the folded profile as text/plain.
-struct ProfileRouteResult {
-  int status = 200;
-  std::string body;
-};
-[[nodiscard]] ProfileRouteResult profile_route(SamplingProfiler* profiler,
-                                               std::string_view path);
 
 }  // namespace mfcp::obs

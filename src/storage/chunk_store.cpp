@@ -12,6 +12,7 @@
 
 #include "support/check.hpp"
 #include "support/log.hpp"
+#include "support/signal_safe.hpp"
 
 namespace mfcp::storage {
 
@@ -170,12 +171,8 @@ void ChunkStore::seal_chunk_locked() {
   if (fd_ < 0) {
     open_chunk_locked(open_chunk_);
   }
-  std::size_t off = 0;
-  while (off < static_cast<std::size_t>(n)) {
-    const ssize_t w = ::write(fd_, footer + off, n - off);
-    MFCP_CHECK(w > 0, "journal chunk seal failed");
-    off += static_cast<std::size_t>(w);
-  }
+  MFCP_CHECK(support::write_all_fd(fd_, footer, static_cast<std::size_t>(n)),
+             "journal chunk seal failed");
   ::close(fd_);
   fd_ = -1;
   meta.sealed = true;
@@ -224,12 +221,8 @@ void ChunkStore::append(double hours, std::string_view jsonl_line) {
   }
   std::string line(jsonl_line);
   line.push_back('\n');
-  std::size_t off = 0;
-  while (off < line.size()) {
-    const ssize_t w = ::write(fd_, line.data() + off, line.size() - off);
-    MFCP_CHECK(w > 0, "journal chunk append failed");
-    off += static_cast<std::size_t>(w);
-  }
+  MFCP_CHECK(support::write_all_fd(fd_, line.data(), line.size()),
+             "journal chunk append failed");
   ChunkMeta& meta = chunks_[k];
   meta.min_hours = meta.records == 0 ? hours : std::min(meta.min_hours, hours);
   meta.max_hours = meta.records == 0 ? hours : std::max(meta.max_hours, hours);

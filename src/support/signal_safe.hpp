@@ -39,8 +39,9 @@ std::size_t format_u64_hex(char* buf, std::size_t cap,
 std::size_t append_literal(char* buf, std::size_t cap, std::size_t pos,
                            const char* text) noexcept;
 
-/// write(2) until every byte is out, retrying EINTR. Returns false on any
-/// other error or on fd < 0.
+/// write(2) until every byte is out, retrying EINTR and short writes.
+/// Returns false on any other error or on fd < 0. Also the storage
+/// layer's one write loop (WAL frames, journal chunk lines and footers).
 bool write_all_fd(int fd, const void* data, std::size_t len) noexcept;
 
 /// open(2) with O_WRONLY|O_CREAT|O_TRUNC, mode 0644. Returns -1 on error.

@@ -10,6 +10,8 @@
 #include <cstdlib>
 #include <map>
 #include <mutex>
+#include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -23,6 +25,7 @@
 #include "net/json.hpp"
 #include "obs/alert_webhook.hpp"
 #include "obs/flight.hpp"
+#include "obs/http_exporter.hpp"
 #include "obs/profiler.hpp"
 
 namespace mfcp::net {
@@ -47,6 +50,16 @@ TEST(HttpParse, ParsesRequestLineAndHeaders) {
   ASSERT_TRUE(r.content_length().has_value());
   EXPECT_EQ(*r.content_length(), 12u);
   EXPECT_EQ(r.header("x-missing"), "");
+
+  // A bare request line (no header block) and a lone trailing CR parse.
+  const HttpRequest bare = parse_request_head("GET /metrics HTTP/1.1");
+  ASSERT_TRUE(bare.valid);
+  EXPECT_EQ(bare.method, "GET");
+  EXPECT_EQ(bare.path, "/metrics");
+  const HttpRequest cr = parse_request_head("GET /healthz HTTP/1.0\r");
+  ASSERT_TRUE(cr.valid);
+  EXPECT_EQ(cr.path, "/healthz");
+  EXPECT_EQ(cr.version, "HTTP/1.0");
 }
 
 TEST(HttpParse, RejectsMalformedHeads) {
@@ -60,6 +73,11 @@ TEST(HttpParse, RejectsMalformedHeads) {
                                   "not a header line\r\n"
                                   "\r\n")
                    .valid);
+  // The same shapes without a line terminator.
+  EXPECT_FALSE(parse_request_head("GET").valid);
+  EXPECT_FALSE(parse_request_head("GET /metrics").valid);
+  EXPECT_FALSE(parse_request_head("GET  HTTP/1.1").valid);
+  EXPECT_FALSE(parse_request_head("GET /a HTTP/1.1 junk").valid);
 }
 
 TEST(HttpParse, ContentLengthRejectsNonNumeric) {
@@ -371,9 +389,11 @@ TEST(GatewayRoute, RatekeeperRouteServesStateOr404WhenDisabled) {
   control::TokenBucketTable buckets;
   buckets.set_global_rate(100.0, 0.0);
   buckets.try_admit("alice", 0.0);
+  GatewayConfig config;
+  config.ratekeeper = &ratekeeper;
+  config.buckets = &buckets;
   const HttpResponse r = route_gateway_request(
-      make_request("GET", "/ratekeeper"), link, nullptr, nullptr, nullptr,
-      &ratekeeper, &buckets);
+      make_request("GET", "/ratekeeper"), link, nullptr, config);
   ASSERT_EQ(r.status, 200);
   EXPECT_EQ(body_str(r.body, "limiting_signal"), "none");
   EXPECT_GT(body_u64(r.body, "rate_per_hour"), 0u);
@@ -420,10 +440,12 @@ TEST(GatewayRoute, SubmitMintsTraceAndTraceRouteServesIt) {
   cfg.traces = &traces;
   cfg.trace_sample_rate = 1.0;
   engine::GatewayLink link(cfg);
+  GatewayConfig traced;
+  traced.traces = &traces;
 
   const HttpResponse submit = route_gateway_request(
       make_request("POST", "/submit", "{\"family\":\"cnn\"}"), link, nullptr,
-      nullptr, &traces);
+      traced);
   ASSERT_EQ(submit.status, 200) << submit.body;
   const std::string trace_hex = body_str(submit.body, "trace_id");
   EXPECT_EQ(trace_hex.size(), 16u);
@@ -437,8 +459,7 @@ TEST(GatewayRoute, SubmitMintsTraceAndTraceRouteServesIt) {
   EXPECT_TRUE(header_matches);
 
   const HttpResponse trace = route_gateway_request(
-      make_request("GET", "/trace/" + trace_hex), link, nullptr, nullptr,
-      &traces);
+      make_request("GET", "/trace/" + trace_hex), link, nullptr, traced);
   ASSERT_EQ(trace.status, 200) << trace.body;
   EXPECT_EQ(body_str(trace.body, "trace_id"), trace_hex);
   EXPECT_EQ(body_str(trace.body, "state"), "in_flight");
@@ -450,33 +471,35 @@ TEST(GatewayRoute, SubmitMintsTraceAndTraceRouteServesIt) {
 TEST(GatewayRoute, TraceRouteErrorStates) {
   obs::TraceStore traces(64);
   engine::GatewayLink link;  // sampling off: nothing is ever recorded
+  GatewayConfig traced;
+  traced.traces = &traces;
   // Malformed id -> 400.
   EXPECT_EQ(route_gateway_request(make_request("GET", "/trace/xyz"), link,
-                                  nullptr, nullptr, &traces)
+                                  nullptr, traced)
                 .status,
             400);
   // Well-formed but unknown -> 404.
   EXPECT_EQ(route_gateway_request(
                 make_request("GET", "/trace/00000000000000ff"), link,
-                nullptr, nullptr, &traces)
+                nullptr, traced)
                 .status,
             404);
   // Tracing disabled entirely -> 404 as well, not a crash.
   EXPECT_EQ(route_gateway_request(
                 make_request("GET", "/trace/00000000000000ff"), link,
-                nullptr, nullptr, nullptr)
+                nullptr)
                 .status,
             404);
   // An unsampled submit still mints an id, but /trace cannot resolve it.
   const HttpResponse submit = route_gateway_request(
       make_request("POST", "/submit", "{\"family\":\"mlp\"}"), link, nullptr,
-      nullptr, &traces);
+      traced);
   ASSERT_EQ(submit.status, 200);
   EXPECT_EQ(body_str(submit.body, "trace_id").size(), 16u);
   EXPECT_EQ(route_gateway_request(
                 make_request("GET",
                              "/trace/" + body_str(submit.body, "trace_id")),
-                link, nullptr, nullptr, &traces)
+                link, nullptr, traced)
                 .status,
             404);
 }
@@ -490,8 +513,10 @@ TEST(GatewayRoute, AlertsRouteReportsSloState) {
       404);
   obs::SloMonitor slo;
   slo.observe_submit(0.0, 1.0);  // one slow submit
+  GatewayConfig alerting;
+  alerting.slo = &slo;
   const HttpResponse alerts = route_gateway_request(
-      make_request("GET", "/alerts"), link, nullptr, &slo, nullptr);
+      make_request("GET", "/alerts"), link, nullptr, alerting);
   ASSERT_EQ(alerts.status, 200) << alerts.body;
   EXPECT_EQ(body_u64(alerts.body, "rules"), 4u);
   const auto obj = parse_json_object(alerts.body);
@@ -898,10 +923,11 @@ TEST(GatewayRoute, FlightDebugRoutesServeAndFilter) {
   recorder.record(obs::FlightKind::kAdmission, 1.0, 42, 1, 0, 0xbeef);
   obs::HeartbeatHandle pulse = recorder.register_heartbeat("route_test");
   pulse.beat();
+  GatewayConfig recording;
+  recording.flight = &recorder;
 
   const HttpResponse events = route_gateway_request(
-      make_request("GET", "/debug/flight"), link, nullptr, nullptr,
-      nullptr, nullptr, nullptr, &recorder);
+      make_request("GET", "/debug/flight"), link, nullptr, recording);
   ASSERT_EQ(events.status, 200);
   EXPECT_NE(events.body.find("\"kind\":\"admission\""), std::string::npos);
   EXPECT_NE(events.body.find("\"trace_id\":\"000000000000beef\""),
@@ -909,19 +935,18 @@ TEST(GatewayRoute, FlightDebugRoutesServeAndFilter) {
 
   const HttpResponse filtered = route_gateway_request(
       make_request("GET", "/debug/flight?kind=round_end"), link, nullptr,
-      nullptr, nullptr, nullptr, nullptr, &recorder);
+      recording);
   ASSERT_EQ(filtered.status, 200);
   EXPECT_NE(filtered.body.find("\"count\":0"), std::string::npos);
 
   EXPECT_EQ(route_gateway_request(
                 make_request("GET", "/debug/flight?kind=bogus"), link,
-                nullptr, nullptr, nullptr, nullptr, nullptr, &recorder)
+                nullptr, recording)
                 .status,
             400);
 
   const HttpResponse threads = route_gateway_request(
-      make_request("GET", "/debug/threads"), link, nullptr, nullptr,
-      nullptr, nullptr, nullptr, &recorder);
+      make_request("GET", "/debug/threads"), link, nullptr, recording);
   ASSERT_EQ(threads.status, 200);
   EXPECT_NE(threads.body.find("\"name\":\"route_test\""),
             std::string::npos);
@@ -950,23 +975,23 @@ TEST(GatewayRoute, ProfileRouteStatusesMatchWiring) {
 
   obs::SamplingProfiler profiler;
   profiler.register_current_thread("gateway_route_test");
+  GatewayConfig profiling;
+  profiling.profiler = &profiler;
 
   EXPECT_EQ(route_gateway_request(
                 make_request("GET", "/debug/profile?seconds=99"), link,
-                nullptr, nullptr, nullptr, nullptr, nullptr, nullptr,
-                &profiler)
+                nullptr, profiling)
                 .status,
             400);
   EXPECT_EQ(route_gateway_request(
                 make_request("GET", "/debug/profile?bogus=1"), link,
-                nullptr, nullptr, nullptr, nullptr, nullptr, nullptr,
-                &profiler)
+                nullptr, profiling)
                 .status,
             400);
 
   const HttpResponse ok = route_gateway_request(
       make_request("GET", "/debug/profile?seconds=0.05&hz=100"), link,
-      nullptr, nullptr, nullptr, nullptr, nullptr, nullptr, &profiler);
+      nullptr, profiling);
   ASSERT_EQ(ok.status, 200);
   EXPECT_NE(ok.body.find("[stage_totals];"), std::string::npos);
 
@@ -974,8 +999,7 @@ TEST(GatewayRoute, ProfileRouteStatusesMatchWiring) {
   ASSERT_TRUE(profiler.start(50.0));
   EXPECT_EQ(route_gateway_request(
                 make_request("GET", "/debug/profile?seconds=0.05"), link,
-                nullptr, nullptr, nullptr, nullptr, nullptr, nullptr,
-                &profiler)
+                nullptr, profiling)
                 .status,
             409);
   EXPECT_TRUE(profiler.session_active());
@@ -992,6 +1016,116 @@ TEST(GatewayRoute, BuildRouteReportsProvenance) {
   EXPECT_NE(build.body.find("\"compiler\":\""), std::string::npos);
   EXPECT_NE(build.body.find("\"build_type\":\""), std::string::npos);
   EXPECT_NE(build.body.find("\"sanitizers\":\""), std::string::npos);
+}
+
+// ------------------------------------------------- operator routes --
+
+TEST(OperatorRoutes, GatewayAndExporterMountsAnswerAlike) {
+  // One route table behind both servers: for every operator route, with
+  // its source wired, absent, and a malformed query, the gateway's
+  // router and a live exporter must give the same status, content type,
+  // Allow header and body. Every wired body here is deterministic: no
+  // heartbeats are registered, and the profiler is mid-session (409).
+  engine::GatewayLink link;
+  obs::MetricsRegistry registry;
+  registry.counter("mfcp_parity_total").add(7);
+  obs::FlightRecorder recorder;
+  recorder.record(obs::FlightKind::kAdmission, 1.0, 42, 1, 0, 0xbeef);
+  obs::SamplingProfiler profiler;
+  ASSERT_TRUE(profiler.start(50.0));
+
+  GatewayConfig wired;
+  wired.flight = &recorder;
+  wired.profiler = &profiler;
+  obs::HttpExporterConfig wired_exporter_cfg;
+  wired_exporter_cfg.flight = &recorder;
+  wired_exporter_cfg.profiler = &profiler;
+  obs::HttpExporter wired_exporter(&registry, wired_exporter_cfg);
+  obs::HttpExporter bare_exporter(nullptr);
+
+  const std::vector<std::pair<std::string, std::string>> requests = {
+      {"GET", "/metrics"},         {"GET", "/metrics?x=1"},
+      {"POST", "/metrics"},        {"GET", "/healthz"},
+      {"GET", "/healthz?x=1"},     {"GET", "/debug/flight"},
+      {"GET", "/debug/flight?kind=admission&limit=1"},
+      {"GET", "/debug/flight?kind=bogus"},
+      {"POST", "/debug/flight"},   {"GET", "/debug/threads"},
+      {"GET", "/debug/threads?x=1"},
+      {"GET", "/debug/profile"},   {"GET", "/debug/profile?seconds=99"},
+      {"GET", "/debug/build"},     {"GET", "/debug/build?x=1"},
+      {"GET", "/nope"},
+  };
+  for (const bool is_wired : {true, false}) {
+    const obs::HttpExporter& exporter =
+        is_wired ? wired_exporter : bare_exporter;
+    for (const auto& [method, path] : requests) {
+      SCOPED_TRACE(method + " " + path + (is_wired ? " wired" : " absent"));
+      const HttpResponse gw = route_gateway_request(
+          make_request(method, path), link, is_wired ? &registry : nullptr,
+          is_wired ? wired : GatewayConfig{});
+      const ClientResponse ex =
+          http_call("127.0.0.1", exporter.port(), method, path);
+      ASSERT_TRUE(ex.ok) << ex.error;
+      EXPECT_EQ(ex.status, gw.status);
+      EXPECT_EQ(ex.header("content-type"), gw.content_type);
+      std::string gw_allow;
+      for (const auto& [name, value] : gw.headers) {
+        if (name == "Allow") {
+          gw_allow = value;
+        }
+      }
+      EXPECT_EQ(ex.header("allow"), gw_allow);
+      EXPECT_EQ(ex.body, gw.body);
+    }
+  }
+  profiler.stop();
+}
+
+TEST(GatewayLive, RequestMetricLabelsStayAClosedSet) {
+  engine::GatewayLink link;
+  obs::MetricsRegistry registry;
+  PlatformGateway gateway(link, &registry, nullptr);
+  const std::vector<std::pair<std::string, std::string>> requests = {
+      {"POST", "/submit"},
+      {"GET", "/task/1"},
+      {"GET", "/trace/00000000000000ff"},
+      {"GET", "/alerts"},
+      {"GET", "/ratekeeper"},
+      {"GET", "/stats"},
+      {"GET", "/metrics"},
+      {"GET", "/healthz"},
+      {"GET", "/debug/flight?limit=8"},
+      {"GET", "/debug/threads"},
+      {"GET", "/debug/profile"},
+      {"GET", "/debug/build"},
+      {"GET", "/debug/storage"},
+      {"GET", "/journal?from=0"},
+      {"GET", "/nope"},
+  };
+  for (const auto& [method, path] : requests) {
+    const ClientResponse r = http_call("127.0.0.1", gateway.port(), method,
+                                       path, "{\"family\":\"cnn\"}");
+    ASSERT_TRUE(r.ok) << path << ": " << r.error;
+  }
+  const ClientResponse scrape =
+      http_call("127.0.0.1", gateway.port(), "GET", "/metrics");
+  ASSERT_EQ(scrape.status, 200);
+  const std::string prefix = "mfcp_gateway_requests_total{route=\"";
+  std::set<std::string> labels;
+  std::istringstream lines(scrape.body);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(prefix, 0) == 0) {
+      labels.insert(line.substr(
+          prefix.size(), line.find('"', prefix.size()) - prefix.size()));
+    }
+  }
+  const std::set<std::string> expected = {
+      "/submit",        "/task",         "/trace",         "/alerts",
+      "/ratekeeper",    "/stats",        "/metrics",       "/healthz",
+      "/debug/flight",  "/debug/threads", "/debug/profile", "/debug/build",
+      "/debug/storage", "/journal",      "other"};
+  EXPECT_EQ(labels, expected);
+  gateway.stop();
 }
 
 // ------------------------------------------------- webhook delivery --

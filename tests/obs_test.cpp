@@ -30,6 +30,7 @@
 #include "obs/http_exporter.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
+#include "obs/routes.hpp"
 #include "obs/sinks.hpp"
 #include "obs/slo.hpp"
 #include "obs/span.hpp"
@@ -815,56 +816,6 @@ TEST(SloSummaryTable, RendersOneRowPerSli) {
 
 // ------------------------------------------------------- http exporter --
 
-TEST(HttpExporter, ParsesWellFormedRequestLines) {
-  const auto req = HttpExporter::parse_request_line("GET /metrics HTTP/1.1");
-  EXPECT_TRUE(req.valid);
-  EXPECT_EQ(req.method, "GET");
-  EXPECT_EQ(req.path, "/metrics");
-  const auto crlf =
-      HttpExporter::parse_request_line("GET /healthz HTTP/1.0\r");
-  EXPECT_TRUE(crlf.valid);
-  EXPECT_EQ(crlf.path, "/healthz");
-}
-
-TEST(HttpExporter, RejectsMalformedRequestLines) {
-  EXPECT_FALSE(HttpExporter::parse_request_line("").valid);
-  EXPECT_FALSE(HttpExporter::parse_request_line("GET").valid);
-  EXPECT_FALSE(HttpExporter::parse_request_line("GET /metrics").valid);
-  EXPECT_FALSE(HttpExporter::parse_request_line("GET  HTTP/1.1").valid);
-  EXPECT_FALSE(
-      HttpExporter::parse_request_line("GET /a HTTP/1.1 junk").valid);
-}
-
-TEST(HttpExporter, RespondRoutesAndStatusCodes) {
-  MetricsRegistry registry;
-  registry.counter("pings_total").add(2);
-  const auto snapshot = [&registry] { return registry.snapshot(); };
-
-  const std::string metrics = HttpExporter::respond(
-      HttpExporter::parse_request_line("GET /metrics HTTP/1.1"), snapshot);
-  EXPECT_NE(metrics.find("200 OK"), std::string::npos);
-  EXPECT_NE(metrics.find("text/plain; version=0.0.4"), std::string::npos);
-  EXPECT_NE(metrics.find("pings_total 2"), std::string::npos);
-
-  const std::string health = HttpExporter::respond(
-      HttpExporter::parse_request_line("GET /healthz HTTP/1.1"), snapshot);
-  EXPECT_NE(health.find("200 OK"), std::string::npos);
-  EXPECT_NE(health.find("ok\n"), std::string::npos);
-
-  const std::string missing = HttpExporter::respond(
-      HttpExporter::parse_request_line("GET /nope HTTP/1.1"), snapshot);
-  EXPECT_NE(missing.find("404 Not Found"), std::string::npos);
-
-  const std::string post = HttpExporter::respond(
-      HttpExporter::parse_request_line("POST /metrics HTTP/1.1"), snapshot);
-  EXPECT_NE(post.find("405 Method Not Allowed"), std::string::npos);
-  EXPECT_NE(post.find("Allow: GET"), std::string::npos);
-
-  const std::string bad =
-      HttpExporter::respond(HttpExporter::parse_request_line(""), snapshot);
-  EXPECT_NE(bad.find("404"), std::string::npos);
-}
-
 /// One real scrape through the socket path: connect to the ephemeral
 /// port, send a request, read the full response.
 std::string scrape(std::uint16_t port, const std::string& request) {
@@ -888,10 +839,55 @@ std::string scrape(std::uint16_t port, const std::string& request) {
   return response;
 }
 
+/// `method` `path` through the exporter's mount of the shared operator
+/// routes, as wire bytes.
+std::string respond(const std::string& method, const std::string& path,
+                    const ObsSources& sources) {
+  net::HttpRequest request;
+  request.method = method;
+  request.path = path;
+  request.version = "HTTP/1.1";
+  request.valid = true;
+  std::optional<net::HttpResponse> routed =
+      route_obs_request(request, sources);
+  return net::serialize_response(routed.has_value()
+                                     ? *routed
+                                     : net::unrouted_response(request));
+}
+
+TEST(ObsRoutes, RespondRoutesAndStatusCodes) {
+  MetricsRegistry registry;
+  registry.counter("pings_total").add(2);
+  const ObsSources sources{&registry, nullptr, nullptr};
+
+  const std::string metrics = respond("GET", "/metrics", sources);
+  EXPECT_NE(metrics.find("200 OK"), std::string::npos);
+  EXPECT_NE(metrics.find("text/plain; version=0.0.4"), std::string::npos);
+  EXPECT_NE(metrics.find("pings_total 2"), std::string::npos);
+
+  const std::string health = respond("GET", "/healthz", sources);
+  EXPECT_NE(health.find("200 OK"), std::string::npos);
+  EXPECT_NE(health.find("ok\n"), std::string::npos);
+
+  const std::string missing = respond("GET", "/nope", sources);
+  EXPECT_NE(missing.find("404 Not Found"), std::string::npos);
+
+  const std::string post = respond("POST", "/metrics", sources);
+  EXPECT_NE(post.find("405 Method Not Allowed"), std::string::npos);
+  EXPECT_NE(post.find("Allow: GET"), std::string::npos);
+
+  // An unparsable request line never reaches the routes: the server
+  // answers it 400.
+  HttpExporter exporter(&registry);
+  const std::string bad = scrape(exporter.port(), "GET /metrics\r\n\r\n");
+  EXPECT_NE(bad.find("400"), std::string::npos);
+  exporter.stop();
+}
+
 TEST(HttpExporter, ServesLiveSnapshotsOverRealSockets) {
   MetricsRegistry registry;
   registry.counter("live_total").add(1);
-  HttpExporter exporter([&registry] { return registry.snapshot(); });
+  HttpExporter exporter(&registry);
   ASSERT_GT(exporter.port(), 0);  // ephemeral port was bound
 
   const std::string first =
@@ -935,20 +931,83 @@ TEST(FlightRing, WrapKeepsTheNewestWindowInSeqOrder) {
   }
 }
 
-TEST(FlightRing, ConcurrentReaderNeverSeesATornEvent) {
+/// Per-encoding hooks for the shared seqlock test: write entry `i` so
+/// every payload word is a function of `i`, and check an entry read back
+/// pairs with the sequence number it was published under.
+template <class Ring>
+struct RingEncoding;
+
+template <>
+struct RingEncoding<FlightRing> {
+  static void record(FlightRing& ring, std::uint64_t i) {
+    FlightEvent e;
+    e.wall_ns = i * 5;
+    e.sim_hours = static_cast<double>(i);
+    e.a0 = i;
+    e.a1 = i * 3;
+    e.a2 = i * 7;
+    e.trace_id = ~i;
+    e.kind = static_cast<std::uint16_t>(FlightKind::kRoundBegin);
+    e.thread = static_cast<std::uint16_t>(i & 0xFFFF);
+    ring.record(e);
+  }
+  static bool consistent(const FlightEvent& e) {
+    return e.wall_ns == e.seq * 5 &&
+           e.sim_hours == static_cast<double>(e.seq) && e.a0 == e.seq &&
+           e.a1 == e.seq * 3 && e.a2 == e.seq * 7 && e.trace_id == ~e.seq &&
+           e.kind == static_cast<std::uint16_t>(FlightKind::kRoundBegin) &&
+           e.thread == (e.seq & 0xFFFF);
+  }
+};
+
+template <>
+struct RingEncoding<SampleRing> {
+  // Depth varies with i, so a torn read would also show up as a stale
+  // frame count.
+  static std::size_t depth(std::uint64_t i) {
+    return 1 + static_cast<std::size_t>(i % kMaxSampleFrames);
+  }
+  static EngineStage stage(std::uint64_t i) {
+    return static_cast<EngineStage>(i % kEngineStageCount);
+  }
+  static void record(SampleRing& ring, std::uint64_t i) {
+    const void* pcs[kMaxSampleFrames];
+    for (std::size_t k = 0; k < kMaxSampleFrames; ++k) {
+      pcs[k] = reinterpret_cast<const void*>(i * (k + 1));
+    }
+    ring.record(stage(i), static_cast<std::uint16_t>(i & 0xFFFF), pcs,
+                depth(i));
+  }
+  static bool consistent(const ProfileSample& s) {
+    if (s.pcs.size() != depth(s.seq) || s.stage != stage(s.seq) ||
+        s.thread != (s.seq & 0xFFFF)) {
+      return false;
+    }
+    for (std::size_t k = 0; k < s.pcs.size(); ++k) {
+      if (s.pcs[k] != reinterpret_cast<const void*>(s.seq * (k + 1))) {
+        return false;
+      }
+    }
+    return true;
+  }
+};
+
+template <class Ring>
+class SeqlockRingEncoding : public ::testing::Test {};
+using RingEncodings = ::testing::Types<FlightRing, SampleRing>;
+TYPED_TEST_SUITE(SeqlockRingEncoding, RingEncodings);
+
+TYPED_TEST(SeqlockRingEncoding, ConcurrentReaderNeverSeesATornEvent) {
   // One writer hammers a tiny ring (maximal overwrite pressure) while a
   // reader drains snapshots. The seqlock must hand the reader only
-  // events whose payload matches the sequence they were published under.
-  FlightRing ring(8);
-  constexpr std::uint64_t kEvents = 200000;
+  // entries whose payload matches the sequence they were published under.
+  using Encoding = RingEncoding<TypeParam>;
+  TypeParam ring(8);
+  constexpr std::uint64_t kEntries = 200000;
   std::atomic<bool> done{false};
   std::thread writer([&ring, &done] {
-    for (std::uint64_t i = 1; i <= kEvents; ++i) {
-      FlightEvent e;
-      e.a0 = i;
-      e.a1 = i * 3;
-      e.kind = static_cast<std::uint16_t>(FlightKind::kRoundBegin);
-      ring.record(e);
+    for (std::uint64_t i = 1; i <= kEntries; ++i) {
+      Encoding::record(ring, i);
     }
     done.store(true, std::memory_order_release);
   });
@@ -957,20 +1016,18 @@ TEST(FlightRing, ConcurrentReaderNeverSeesATornEvent) {
     // Under this much overwrite pressure a mid-flight snapshot may
     // reject every slot — what matters is that whatever it does hand
     // back is consistent.
-    for (const FlightEvent& e : ring.snapshot()) {
-      ASSERT_EQ(e.a0, e.seq);
-      ASSERT_EQ(e.a1, e.seq * 3);
+    for (const auto& entry : ring.snapshot()) {
+      ASSERT_TRUE(Encoding::consistent(entry)) << "seq " << entry.seq;
       ++drained;
     }
   }
   writer.join();
-  EXPECT_EQ(ring.head(), kEvents);
+  EXPECT_EQ(ring.head(), kEntries);
   // Quiescent ring: the full newest window is visible and consistent.
-  const std::vector<FlightEvent> final_window = ring.snapshot();
+  const auto final_window = ring.snapshot();
   ASSERT_EQ(final_window.size(), ring.capacity());
-  for (const FlightEvent& e : final_window) {
-    ASSERT_EQ(e.a0, e.seq);
-    ASSERT_EQ(e.a1, e.seq * 3);
+  for (const auto& entry : final_window) {
+    ASSERT_TRUE(Encoding::consistent(entry)) << "seq " << entry.seq;
     ++drained;
   }
   EXPECT_GT(drained, 0u);
@@ -1201,7 +1258,7 @@ TEST(HttpExporter, ServesFlightDebugRoutesWhenConfigured) {
   MetricsRegistry registry;
   HttpExporterConfig cfg;
   cfg.flight = &recorder;
-  HttpExporter exporter([&registry] { return registry.snapshot(); }, cfg);
+  HttpExporter exporter(&registry, cfg);
 
   const std::string events =
       scrape(exporter.port(), "GET /debug/flight HTTP/1.1\r\n\r\n");
@@ -1223,7 +1280,7 @@ TEST(HttpExporter, ServesFlightDebugRoutesWhenConfigured) {
 
 TEST(HttpExporter, FlightRoutesAre404WithoutARecorder) {
   MetricsRegistry registry;
-  HttpExporter exporter([&registry] { return registry.snapshot(); });
+  HttpExporter exporter(&registry);
   const std::string events =
       scrape(exporter.port(), "GET /debug/flight HTTP/1.1\r\n\r\n");
   EXPECT_NE(events.find("404"), std::string::npos);
@@ -1430,23 +1487,32 @@ TEST(Profiler, CollectFoldedRunsAWholeSession) {
 }
 
 TEST(Profiler, ProfileRouteStatusCodes) {
-  EXPECT_EQ(profile_route(nullptr, "/debug/profile").status, 404);
+  const auto route = [](SamplingProfiler* profiler, const std::string& path) {
+    net::HttpRequest request;
+    request.method = "GET";
+    request.path = path;
+    request.valid = true;
+    const std::optional<net::HttpResponse> r =
+        route_obs_request(request, {nullptr, nullptr, profiler});
+    EXPECT_TRUE(r.has_value());
+    return r.value_or(net::HttpResponse{});
+  };
+  EXPECT_EQ(route(nullptr, "/debug/profile").status, 404);
 
   SamplingProfiler profiler;
   profiler.register_current_thread("route_thread");
-  EXPECT_EQ(profile_route(&profiler, "/debug/profile?seconds=0").status,
-            400);
-  EXPECT_EQ(profile_route(&profiler, "/debug/profile?x=1").status, 400);
+  EXPECT_EQ(route(&profiler, "/debug/profile?seconds=0").status, 400);
+  EXPECT_EQ(route(&profiler, "/debug/profile?x=1").status, 400);
 
-  const ProfileRouteResult ok =
-      profile_route(&profiler, "/debug/profile?seconds=0.05&hz=100");
+  const net::HttpResponse ok =
+      route(&profiler, "/debug/profile?seconds=0.05&hz=100");
   EXPECT_EQ(ok.status, 200);
   EXPECT_NE(ok.body.find("[stage_totals];"), std::string::npos);
 
   // A session already in flight answers 409 without disturbing it.
   ASSERT_TRUE(profiler.start(50.0));
-  const ProfileRouteResult busy =
-      profile_route(&profiler, "/debug/profile?seconds=0.05&hz=100");
+  const net::HttpResponse busy =
+      route(&profiler, "/debug/profile?seconds=0.05&hz=100");
   EXPECT_EQ(busy.status, 409);
   EXPECT_TRUE(profiler.session_active());
   profiler.stop();
@@ -1494,8 +1560,7 @@ TEST(HttpExporter, ServesProfileAndBuildRoutes) {
   profiler.register_current_thread("exporter_test");
   HttpExporterConfig config;
   config.profiler = &profiler;
-  HttpExporter exporter([&registry] { return registry.snapshot(); },
-                        config);
+  HttpExporter exporter(&registry, config);
   ASSERT_GT(exporter.port(), 0);
 
   const std::string build =
@@ -1518,7 +1583,7 @@ TEST(HttpExporter, ServesProfileAndBuildRoutes) {
 
 TEST(HttpExporter, ProfileRouteAnswers404WithoutAProfiler) {
   MetricsRegistry registry;
-  HttpExporter exporter([&registry] { return registry.snapshot(); });
+  HttpExporter exporter(&registry);
   const std::string none =
       scrape(exporter.port(), "GET /debug/profile HTTP/1.1\r\n\r\n");
   EXPECT_NE(none.find("404"), std::string::npos);

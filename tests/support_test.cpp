@@ -1,9 +1,19 @@
 // Unit tests for the support module: contracts, RNG, statistics, tables.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <pthread.h>
+#include <signal.h>
+#include <sys/ioctl.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "support/check.hpp"
 #include "support/log.hpp"
@@ -437,6 +447,67 @@ TEST(SignalSafe, AppendLiteralStopsAtCapacity) {
   EXPECT_EQ(std::string(buf, 8), "abcdefgh");
   // Full buffer: nothing fits, position unchanged (never partial).
   EXPECT_EQ(support::append_literal(buf, sizeof(buf), pos, "i"), 8u);
+}
+
+std::atomic<int> g_usr1_hits{0};
+void count_usr1(int) { g_usr1_hits.fetch_add(1, std::memory_order_relaxed); }
+
+TEST(SignalSafe, WriteAllFdRetriesEintrAndShortWritesOnAFullPipe) {
+  // A handler installed without SA_RESTART makes a write(2) blocked on a
+  // full pipe return early: a short count when part of the buffer went
+  // out, -1/EINTR when none did. write_all_fd must retry both and deliver
+  // every byte, in order.
+  struct sigaction action {};
+  action.sa_handler = count_usr1;
+  sigemptyset(&action.sa_mask);
+  action.sa_flags = 0;
+  struct sigaction previous {};
+  ASSERT_EQ(::sigaction(SIGUSR1, &action, &previous), 0);
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const int capacity = ::fcntl(fds[1], F_GETPIPE_SZ);
+  ASSERT_GT(capacity, 0);
+  std::vector<unsigned char> data(static_cast<std::size_t>(capacity) * 4);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<unsigned char>(i * 131 + (i >> 8));
+  }
+  const int hits_before = g_usr1_hits.load();
+  bool ok = false;
+  std::thread writer([&] {
+    ok = support::write_all_fd(fds[1], data.data(), data.size());
+    ::close(fds[1]);  // EOF for the reader, success or not
+  });
+  // Let the writer fill the pipe and block, then interrupt it repeatedly:
+  // the first signal cuts the initial write short, later ones land while
+  // a retry is blocked before writing anything.
+  int queued = 0;
+  for (int waited = 0; queued < capacity && waited < 5000; ++waited) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(::ioctl(fds[0], FIONREAD, &queued), 0);
+  }
+  for (int k = 0; k < 4; ++k) {
+    EXPECT_EQ(::pthread_kill(writer.native_handle(), SIGUSR1), 0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  std::vector<unsigned char> received;
+  unsigned char buf[4096];
+  for (;;) {
+    const ssize_t n = ::read(fds[0], buf, sizeof(buf));
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      break;
+    }
+    received.insert(received.end(), buf, buf + n);
+  }
+  writer.join();
+  ::close(fds[0]);
+  ::sigaction(SIGUSR1, &previous, nullptr);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(received.size(), data.size());
+  EXPECT_TRUE(received == data);
+  EXPECT_GT(g_usr1_hits.load(), hits_before);
 }
 
 }  // namespace
